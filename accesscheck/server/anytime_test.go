@@ -290,6 +290,9 @@ func TestCoordinatorShardedAnytimeResumeConverges(t *testing.T) {
 		t.Errorf("settled answer diverged: sat=%v coverage=%v, want sat=%v coverage=1",
 			final.Satisfiable, final.Coverage, ref.Satisfiable)
 	}
+	if final.Truncated {
+		t.Errorf("settled full-cover answer reported truncated: %d/%d shards", final.ShardsCompleted, final.ShardsTotal)
+	}
 	if sawPartial {
 		if n := coord.resumes.Load(); n == 0 {
 			t.Error("partials served but the coordinator never counted a resume")
@@ -314,6 +317,97 @@ func TestCoordinatorShardedAnytimeResumeConverges(t *testing.T) {
 	}
 	if hits := coord.resCache.Stats().Hits; hits == 0 {
 		t.Error("merged-result cache hit not counted")
+	}
+}
+
+// TestCoordinatorShardedResumedCoverCached replays the worker/coordinator
+// resume sequence without a wall-clock budget: WithAnytimeChunk suspends
+// the first round after one slice. The suspended group's report covers
+// only that slice, and the slice is exact, so once a second round settles
+// the rest the merged unsat verdict is exact and the merged-result cache
+// admits it.
+func TestCoordinatorShardedResumedCoverCached(t *testing.T) {
+	ctx := context.Background()
+	opts := &CheckOptions{MaxDepth: 4, Engine: "bounded"}
+	sch, err := accesscheck.ParseSchema(wideRelations, wideMethods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := accesscheck.ParseFormula(wideUnsatFormula)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := checkerFor(opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := planner.ShardPlan(ctx, sch, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan) < 2 {
+		t.Fatalf("plan of %d shards cannot be split", len(plan))
+	}
+	group := func(ids []accesscheck.ShardID) *fabric.Shard {
+		sh := &fabric.Shard{Version: fabric.WireVersion, PlanSize: len(plan)}
+		for _, id := range ids {
+			sh.Shards = append(sh.Shards, fabric.ShardRef{Index: id.Index, Key: id.Key, WholeAccess: id.WholeAccess})
+		}
+		return sh
+	}
+	round := func(sh *fabric.Shard, extra ...accesscheck.Option) (*accesscheck.Result, *accesscheck.Checkpoint) {
+		chk, err := checkerFor(opts, 1, append(extra, accesscheck.WithShards(sh.Indexes()...))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, cp, err := chk.CheckAnytime(ctx, sch, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cp
+	}
+
+	whole := group(plan)
+	res, cp := round(whole, accesscheck.WithAnytimeChunk(1))
+	if !res.Resumable || !res.Truncated {
+		t.Fatalf("chunked round did not suspend: %+v", res)
+	}
+	first := completedPart(whole, res, cp)
+	if len(first.Shards) != 1 || first.Truncated {
+		t.Fatalf("suspended group reported %d slices, truncated=%v; want 1 exact slice", len(first.Shards), first.Truncated)
+	}
+
+	rest := group(plan[:0:0])
+	for _, id := range plan {
+		if id.Index != first.Shards[0] {
+			rest.Shards = append(rest.Shards, fabric.ShardRef{Index: id.Index, Key: id.Key, WholeAccess: id.WholeAccess})
+		}
+	}
+	res, _ = round(rest)
+	if res.Resumable || res.Truncated {
+		t.Fatalf("settling round: %+v", res)
+	}
+	second := shardResult(rest, res, false)
+
+	merged, err := fabric.MergeCover([]fabric.ShardResult{*first, *second}, len(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Satisfiable || merged.Truncated || merged.ShardsCompleted != len(plan) {
+		t.Fatalf("full cover merged to sat=%v truncated=%v %d/%d shards", merged.Satisfiable, merged.Truncated, merged.ShardsCompleted, merged.ShardsTotal)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := newCoordCheckpoint(len(plan))
+	cc.absorb(*first)
+	cc.absorb(*second)
+	if out := coord.finishMerge("fp", cc, merged); out.Truncated || out.Coverage != 1 {
+		t.Errorf("settled answer truncated=%v coverage=%v", out.Truncated, out.Coverage)
+	}
+	if _, ok := coord.resCache.Get("fp"); !ok {
+		t.Error("settled fabric verdict not admitted to the merged-result cache")
 	}
 }
 

@@ -87,15 +87,17 @@ func TestServerShardedCheckpointEvictedMidSequence(t *testing.T) {
 	reqB.Options = &CheckOptions{MaxDepth: 5, Engine: "bounded"} // distinct fingerprint
 
 	// Provoke a suspended frontier for A: tiny budgets until a 504 or a
-	// coverage-tagged partial lands. Either one stores A's checkpoint.
+	// coverage-tagged partial lands with A's checkpoint stored. A budget
+	// that dies before the search starts leaves no checkpoint; retry it
+	// with a doubled budget.
 	suspended := false
 	budget := 100 * time.Microsecond
-	for round := 0; round < 20 && !suspended; round++ {
+	for round := 0; round < 20 && !suspended; round, budget = round+1, budget*2 {
 		reqA.Budget = budget.String()
 		resp, body := postJSON(t, ts.URL+"/v1/check", reqA)
 		switch resp.StatusCode {
 		case http.StatusGatewayTimeout:
-			suspended = true
+			suspended = metrics(t, ts)["accserve_checkpoints_size"] > 0
 		case http.StatusOK:
 			var out CheckResponse
 			if err := json.Unmarshal(body, &out); err != nil {
@@ -116,19 +118,26 @@ func TestServerShardedCheckpointEvictedMidSequence(t *testing.T) {
 
 	// B's suspension (or zero-progress expiry — both checkpoint) evicts A's
 	// frontier from the capacity-1 store.
-	reqB.Budget = (100 * time.Microsecond).String()
-	resp, body := postJSON(t, ts.URL+"/v1/check", reqB)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("evictor check: status %d: %s", resp.StatusCode, body)
+	// A budget that dies before B's search starts stores nothing; retry
+	// with a doubled budget.
+	evicted := false
+	budget = 100 * time.Microsecond
+	for round := 0; round < 20 && !evicted; round, budget = round+1, budget*2 {
+		reqB.Budget = budget.String()
+		resp, body := postJSON(t, ts.URL+"/v1/check", reqB)
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("evictor check: status %d: %s", resp.StatusCode, body)
+		}
+		evicted = metrics(t, ts)["accserve_checkpoints_evictions_total"] > 0
 	}
-	if m := metrics(t, ts); m["accserve_checkpoints_evictions_total"] == 0 {
+	if !evicted {
 		t.Skip("eviction did not occur (B settled without checkpointing)")
 	}
 
 	// A again, roomy budget: its checkpoint is gone, so this is a fresh
 	// full run — it must land the exact verdict with honest coverage.
 	reqA.Budget = "30s"
-	resp, body = postJSON(t, ts.URL+"/v1/check", reqA)
+	resp, body := postJSON(t, ts.URL+"/v1/check", reqA)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-eviction rerun: status %d: %s", resp.StatusCode, body)
 	}

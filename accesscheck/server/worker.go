@@ -206,10 +206,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		s.ckpts.PutAs(fp, cp)
 		s.truncations.Add(1)
 		s.anytimePartials.Add(1)
-		out := shardResult(sh, res, false)
-		out.Shards = cp.CompletedWithin(sh.Indexes())
-		out.ShardsCompleted = len(out.Shards)
-		return out, nil
+		return completedPart(sh, res, cp), nil
 	}
 	// Settled (exact or final path-capped): the frontier is spent; drop it
 	// so a later identical group starts clean rather than resuming stale
@@ -221,6 +218,20 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		s.cache.Add(fp, *checkTaskResult(res))
 	}
 	return shardResult(sh, res, false), nil
+}
+
+// completedPart narrows a resumable round's answer for group sh to the
+// slices that ran to completion. Those slices are as exact as a settled
+// round over them: truncated only by capped responses (a resumable round
+// is never path-capped). Keeping the whole group's partial flag would
+// poison every later merge that folds this part in, so even a full cover
+// would never be cacheable; MergeCover re-derives truncation from coverage.
+func completedPart(sh *fabric.Shard, res *accesscheck.Result, cp *accesscheck.Checkpoint) *fabric.ShardResult {
+	out := shardResult(sh, res, false)
+	out.Shards = cp.CompletedWithin(sh.Indexes())
+	out.ShardsCompleted = len(out.Shards)
+	out.Truncated = out.ResponsesCapped
+	return out
 }
 
 // shardResultFromWire rebuilds a fabric partial verdict from a disk-tier

@@ -31,13 +31,9 @@ func Holds(f Formula, ts []access.Transition, i int, voc Vocabulary) (bool, erro
 	}
 	structs := make([]fo.Structure, len(ts))
 	for j, t := range ts {
-		if voc == ZeroAcc {
-			structs[j] = access.ZeroAccStructureOf(t)
-		} else {
-			structs[j] = access.StructureOf(t)
-		}
+		structs[j] = fo.ShareDomain(structureOf(t, voc))
 	}
-	return holds(f, structs, i)
+	return holds(prepare(f), structs, i)
 }
 
 // Satisfied decides whether the whole path satisfies ϕ, i.e. (p, 1) ⊧ ϕ.
@@ -45,15 +41,51 @@ func Satisfied(f Formula, ts []access.Transition, voc Vocabulary) (bool, error) 
 	return Holds(f, ts, 0, voc)
 }
 
-func holds(f Formula, structs []fo.Structure, i int) (bool, error) {
+// prepared mirrors a formula with each embedded sentence prepared once, so
+// evaluating it at every position of a path does no per-position
+// compilation. Operands sit in kids in field order (L before R).
+type prepared struct {
+	f        Formula
+	sentence *fo.Prepared
+	kids     []*prepared
+}
+
+func prepare(f Formula) *prepared {
+	p := &prepared{f: f}
+	var ops []Formula
 	switch g := f.(type) {
 	case Atom:
-		return fo.Eval(g.Sentence, structs[i])
+		p.sentence = fo.Prepare(g.Sentence)
 	case Not:
-		v, err := holds(g.F, structs, i)
+		ops = []Formula{g.F}
+	case And:
+		ops = g.Conj
+	case Or:
+		ops = g.Disj
+	case Next:
+		ops = []Formula{g.F}
+	case Until:
+		ops = []Formula{g.L, g.R}
+	case Prev:
+		ops = []Formula{g.F}
+	case Since:
+		ops = []Formula{g.L, g.R}
+	}
+	for _, o := range ops {
+		p.kids = append(p.kids, prepare(o))
+	}
+	return p
+}
+
+func holds(p *prepared, structs []fo.Structure, i int) (bool, error) {
+	switch p.f.(type) {
+	case Atom:
+		return p.sentence.Eval(structs[i])
+	case Not:
+		v, err := holds(p.kids[0], structs, i)
 		return !v, err
 	case And:
-		for _, c := range g.Conj {
+		for _, c := range p.kids {
 			v, err := holds(c, structs, i)
 			if err != nil {
 				return false, err
@@ -64,7 +96,7 @@ func holds(f Formula, structs []fo.Structure, i int) (bool, error) {
 		}
 		return true, nil
 	case Or:
-		for _, d := range g.Disj {
+		for _, d := range p.kids {
 			v, err := holds(d, structs, i)
 			if err != nil {
 				return false, err
@@ -78,18 +110,18 @@ func holds(f Formula, structs []fo.Structure, i int) (bool, error) {
 		if i+1 >= len(structs) {
 			return false, nil
 		}
-		return holds(g.F, structs, i+1)
+		return holds(p.kids[0], structs, i+1)
 	case Until:
 		// (p,i) ⊧ ϕ U ψ iff ∃j ≥ i: (p,j) ⊧ ψ and ∀ i ≤ k < j: (p,k) ⊧ ϕ.
 		for j := i; j < len(structs); j++ {
-			v, err := holds(g.R, structs, j)
+			v, err := holds(p.kids[1], structs, j)
 			if err != nil {
 				return false, err
 			}
 			if v {
 				return true, nil
 			}
-			v, err = holds(g.L, structs, j)
+			v, err = holds(p.kids[0], structs, j)
 			if err != nil {
 				return false, err
 			}
@@ -102,17 +134,17 @@ func holds(f Formula, structs []fo.Structure, i int) (bool, error) {
 		if i == 0 {
 			return false, nil
 		}
-		return holds(g.F, structs, i-1)
+		return holds(p.kids[0], structs, i-1)
 	case Since:
 		for j := i; j >= 0; j-- {
-			v, err := holds(g.R, structs, j)
+			v, err := holds(p.kids[1], structs, j)
 			if err != nil {
 				return false, err
 			}
 			if v {
 				return true, nil
 			}
-			v, err = holds(g.L, structs, j)
+			v, err = holds(p.kids[0], structs, j)
 			if err != nil {
 				return false, err
 			}
@@ -122,6 +154,6 @@ func holds(f Formula, structs []fo.Structure, i int) (bool, error) {
 		}
 		return false, nil
 	default:
-		return false, fmt.Errorf("accltl: unknown formula node %T", f)
+		return false, fmt.Errorf("accltl: unknown formula node %T", p.f)
 	}
 }

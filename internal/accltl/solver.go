@@ -341,7 +341,7 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	for i, s := range sentences {
 		p := ltl.Prop(fmt.Sprintf("q%d", i))
 		props[s.String()] = p
-		letters[i] = letterEntry{sentence: s, prop: p}
+		letters[i] = letterEntry{sentence: fo.Prepare(s), prop: p}
 	}
 	skeleton, err := abstract(f, props)
 	if err != nil {
@@ -435,7 +435,7 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		var nextID int
 		var accept bool
 		if useMask {
-			mask, err := evalLetterMask(letters, last, voc)
+			mask, err := evalLetterMask(letters, structureOf(last, voc))
 			if err != nil {
 				return false, err
 			}
@@ -449,7 +449,7 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 			}
 			next, nextID, accept = pv.next, pv.nextID, pv.accept
 		} else {
-			letter, err := evalLetter(letters, last, voc)
+			letter, err := evalLetter(letters, structureOf(last, voc))
 			if err != nil {
 				return false, err
 			}
@@ -631,26 +631,30 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 	}
 }
 
-// letterEntry pairs an embedded sentence with its proposition. boundedSearch
-// lays the table out once per solve; evalLetter then never re-renders a
-// sentence's canonical string to find its proposition.
+// letterEntry pairs an embedded sentence, prepared once per solve, with its
+// proposition. boundedSearch lays the table out once per solve; evalLetter
+// then neither re-renders a sentence's canonical string to find its
+// proposition nor redoes the sentence's structure-independent work.
 type letterEntry struct {
-	sentence fo.Formula
+	sentence *fo.Prepared
 	prop     ltl.Prop
 }
 
-// evalLetter evaluates every sentence on the transition and returns the
-// corresponding propositional letter.
-func evalLetter(letters []letterEntry, t access.Transition, voc Vocabulary) (ltl.Letter, error) {
-	var st fo.Structure
+// structureOf is the structure the embedded sentences see on a transition.
+func structureOf(t access.Transition, voc Vocabulary) fo.Structure {
 	if voc == ZeroAcc {
-		st = access.ZeroAccStructureOf(t)
-	} else {
-		st = access.StructureOf(t)
+		return access.ZeroAccStructureOf(t)
 	}
+	return access.StructureOf(t)
+}
+
+// evalLetter evaluates every sentence on the transition structure and
+// returns the corresponding propositional letter.
+func evalLetter(letters []letterEntry, st fo.Structure) (ltl.Letter, error) {
+	st = fo.ShareDomain(st)
 	l := make(ltl.Letter, len(letters))
 	for _, e := range letters {
-		v, err := fo.Eval(e.sentence, st)
+		v, err := e.sentence.Eval(st)
 		if err != nil {
 			return nil, err
 		}
@@ -664,16 +668,13 @@ func evalLetter(letters []letterEntry, t access.Transition, voc Vocabulary) (ltl
 // evalLetterMask is evalLetter packed into a bitmask (bit i ⇔ sentence i
 // holds): the allocation-free letter the progression cache keys on. Only
 // valid for ≤ 64 sentences; boundedSearch falls back to evalLetter beyond.
-func evalLetterMask(letters []letterEntry, t access.Transition, voc Vocabulary) (uint64, error) {
-	var st fo.Structure
-	if voc == ZeroAcc {
-		st = access.ZeroAccStructureOf(t)
-	} else {
-		st = access.StructureOf(t)
-	}
+// The sentences share one build of the structure's active domain, made
+// only if one of them has a variable no atom generates.
+func evalLetterMask(letters []letterEntry, st fo.Structure) (uint64, error) {
+	st = fo.ShareDomain(st)
 	var mask uint64
 	for i, e := range letters {
-		v, err := fo.Eval(e.sentence, st)
+		v, err := e.sentence.Eval(st)
 		if err != nil {
 			return 0, err
 		}

@@ -242,7 +242,7 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 			var nextID int
 			var accept bool
 			if useMask {
-				mask, err := evalLetterMask(letters, last, voc)
+				mask, err := evalLetterMask(letters, structureOf(last, voc))
 				if err != nil {
 					return false, err
 				}
@@ -256,7 +256,7 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 				}
 				next, nextID, accept = pv.next, pv.nextID, pv.accept
 			} else {
-				letter, err := evalLetter(letters, last, voc)
+				letter, err := evalLetter(letters, structureOf(last, voc))
 				if err != nil {
 					return false, err
 				}

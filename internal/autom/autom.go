@@ -134,26 +134,61 @@ func (a *Automaton) Guards() []fo.Formula {
 }
 
 // StepStates advances a state set over one path transition: the NFA subset
-// simulation used both by Accepts and by the emptiness search.
+// simulation used both by Accepts and by the emptiness search. Callers
+// stepping over many transitions should reuse one stepper instead.
 func (a *Automaton) StepStates(states map[int]bool, st fo.Structure) (map[int]bool, error) {
+	return a.stepper().step(states, st)
+}
+
+// stepper is the automaton with its guards prepared once: each distinct
+// guard (by rendering) compiled for evaluation, and each transition's index
+// into them. It is immutable and safe for concurrent use.
+type stepper struct {
+	a       *Automaton
+	guards  []*fo.Prepared
+	guardOf []int // per transition
+}
+
+func (a *Automaton) stepper() *stepper {
+	s := &stepper{a: a, guardOf: make([]int, len(a.Transitions))}
+	index := make(map[string]int)
+	for i, tr := range a.Transitions {
+		k := tr.Guard.String()
+		g, ok := index[k]
+		if !ok {
+			g = len(s.guards)
+			index[k] = g
+			s.guards = append(s.guards, fo.Prepare(tr.Guard))
+		}
+		s.guardOf[i] = g
+	}
+	return s
+}
+
+// step advances a state set over the transition with structure st. Each
+// guard is evaluated at most once, and all of them share one build of the
+// structure's active domain.
+func (s *stepper) step(states map[int]bool, st fo.Structure) (map[int]bool, error) {
+	st = fo.ShareDomain(st)
 	next := make(map[int]bool)
-	// Guard results are shared across transitions with the same guard.
-	cache := make(map[string]bool)
-	for _, tr := range a.Transitions {
+	// Per guard: 0 not yet evaluated, 1 false, 2 true.
+	known := make([]uint8, len(s.guards))
+	for i, tr := range s.a.Transitions {
 		if !states[tr.From] {
 			continue
 		}
-		key := tr.Guard.String()
-		holds, ok := cache[key]
-		if !ok {
-			var err error
-			holds, err = fo.Eval(tr.Guard, st)
+		g := s.guardOf[i]
+		if known[g] == 0 {
+			holds, err := s.guards[g].Eval(st)
 			if err != nil {
 				return nil, err
 			}
-			cache[key] = holds
+			known[g] = 1
+			if holds {
+				known[g] = 2
+			}
 		}
-		if holds {
+		if known[g] == 2 {
 			next[tr.To] = true
 		}
 	}
@@ -174,9 +209,10 @@ func (a *Automaton) Accepts(p *access.Path) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	steps := a.stepper()
 	cur := map[int]bool{a.Init: true}
 	for _, t := range ts {
-		cur, err = a.StepStates(cur, access.StructureOf(t))
+		cur, err = steps.step(cur, access.StructureOf(t))
 		if err != nil {
 			return false, err
 		}

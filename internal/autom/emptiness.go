@@ -135,6 +135,7 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		states map[int]bool
 		length int
 	}
+	steps := a.stepper()
 	stack := []frame{{states: map[int]bool{a.Init: true}, length: 0}}
 	// Memoization: emptiness from a node depends only on the revealed
 	// configuration and the automaton state set; prune dominated revisits.
@@ -160,7 +161,7 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		// the pre/post configurations the explorer maintains incrementally
 		// — no per-node rebuild of the whole path's transitions.
 		last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-		next, err := a.StepStates(cur, access.StructureOf(last))
+		next, err := steps.step(cur, access.StructureOf(last))
 		if err != nil {
 			return false, err
 		}

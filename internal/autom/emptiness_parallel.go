@@ -93,6 +93,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 		spineMu sync.Mutex
 		spines  []*emptinessSpine
 	)
+	steps := a.stepper()
 	factory := func(shard int) lts.Visitor {
 		// Per-shard simulation stack, seeded with the initial state at the
 		// root (the shard's DFS starts at depth 1).
@@ -119,7 +120,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 			}
 			cur := stack[len(stack)-1].states
 			last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-			next, err := a.StepStates(cur, access.StructureOf(last))
+			next, err := steps.step(cur, access.StructureOf(last))
 			if err != nil {
 				return false, err
 			}

@@ -150,20 +150,53 @@ type Checker struct {
 // Successors returns are caller-owned (each After is a fresh instance), so
 // the recursion below may hold them across nested EX expansions freely.
 func (c *Checker) Holds(f Formula, t access.Transition) (bool, error) {
+	return c.holds(prepare(f), t)
+}
+
+// prepared mirrors a formula with each embedded sentence prepared once, so
+// checking it on many transitions does no per-transition compilation.
+type prepared struct {
+	f        Formula
+	sentence *fo.Prepared
+	kids     []*prepared
+}
+
+func prepare(f Formula) *prepared {
+	p := &prepared{f: f}
+	var ops []Formula
+	switch g := f.(type) {
+	case Atom:
+		p.sentence = fo.Prepare(g.Sentence)
+	case Not:
+		ops = []Formula{g.F}
+	case And:
+		ops = g.Conj
+	case Or:
+		ops = g.Disj
+	case EX:
+		ops = []Formula{g.F}
+	}
+	for _, o := range ops {
+		p.kids = append(p.kids, prepare(o))
+	}
+	return p
+}
+
+func (c *Checker) holds(p *prepared, t access.Transition) (bool, error) {
 	if c.Opts.Context != nil {
 		if err := c.Opts.Context.Err(); err != nil {
 			return false, err
 		}
 	}
-	switch g := f.(type) {
+	switch p.f.(type) {
 	case Atom:
-		return fo.Eval(g.Sentence, access.ZeroAccStructureOf(t))
+		return p.sentence.Eval(access.ZeroAccStructureOf(t))
 	case Not:
-		v, err := c.Holds(g.F, t)
+		v, err := c.holds(p.kids[0], t)
 		return !v, err
 	case And:
-		for _, x := range g.Conj {
-			v, err := c.Holds(x, t)
+		for _, x := range p.kids {
+			v, err := c.holds(x, t)
 			if err != nil {
 				return false, err
 			}
@@ -173,8 +206,8 @@ func (c *Checker) Holds(f Formula, t access.Transition) (bool, error) {
 		}
 		return true, nil
 	case Or:
-		for _, x := range g.Disj {
-			v, err := c.Holds(x, t)
+		for _, x := range p.kids {
+			v, err := c.holds(x, t)
 			if err != nil {
 				return false, err
 			}
@@ -192,7 +225,7 @@ func (c *Checker) Holds(f Formula, t access.Transition) (bool, error) {
 			return false, err
 		}
 		for _, s := range succs {
-			v, err := c.Holds(g.F, s)
+			v, err := c.holds(p.kids[0], s)
 			if err != nil {
 				return false, err
 			}
@@ -202,7 +235,7 @@ func (c *Checker) Holds(f Formula, t access.Transition) (bool, error) {
 		}
 		return false, nil
 	default:
-		return false, fmt.Errorf("branching: unknown node %T", f)
+		return false, fmt.Errorf("branching: unknown node %T", p.f)
 	}
 }
 
@@ -222,11 +255,12 @@ func (c *Checker) Satisfiable(f Formula, initial *instance.Instance) (bool, acce
 	if err != nil {
 		return false, access.Transition{}, err
 	}
+	pf := prepare(f)
 	if c.Opts.Parallelism > 1 && len(succs) > 1 {
-		return c.satisfiableParallel(f, succs)
+		return c.satisfiableParallel(pf, succs)
 	}
 	for _, t := range succs {
-		v, err := c.Holds(f, t)
+		v, err := c.holds(pf, t)
 		if err != nil {
 			return false, access.Transition{}, err
 		}
@@ -250,7 +284,7 @@ func (c *Checker) Satisfiable(f Formula, initial *instance.Instance) (bool, acce
 // out indexes above the lowest error, since the serial loop would never
 // evaluate those. At join the serial order decides: a witness below the
 // lowest error wins, otherwise the error surfaces.
-func (c *Checker) satisfiableParallel(f Formula, succs []access.Transition) (bool, access.Transition, error) {
+func (c *Checker) satisfiableParallel(pf *prepared, succs []access.Transition) (bool, access.Transition, error) {
 	base := c.Opts.Context
 	if base == nil {
 		base = context.Background()
@@ -285,7 +319,7 @@ func (c *Checker) satisfiableParallel(f Formula, succs []access.Transition) (boo
 				if e := errAt.Load(); e != 0 && i > int(e)-1 {
 					break // the serial loop would never reach this candidate
 				}
-				v, err := sub.Holds(f, succs[i])
+				v, err := sub.holds(pf, succs[i])
 				if err != nil {
 					// Cancellations of our own ctx are collateral of another
 					// worker's witness, not root causes; the caller's own

@@ -247,6 +247,7 @@ func (p *Program) ContainedInCtx(ctx context.Context, phi fo.Formula, depth int)
 		return ContainmentResult{}, err
 	}
 	res := ContainmentResult{Contained: true, DepthBound: depth}
+	sentence := fo.Prepare(phi)
 	for _, e := range exps {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -256,7 +257,7 @@ func (p *Program) ContainedInCtx(ctx context.Context, phi fo.Formula, depth int)
 			continue
 		}
 		res.ExpansionsChecked++
-		holds, err := fo.Eval(phi, db)
+		holds, err := sentence.Eval(db)
 		if err != nil {
 			return res, err
 		}

@@ -2,6 +2,8 @@ package fo
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -11,9 +13,12 @@ import (
 // what a single transition of an access path induces (the structure M(t_i)
 // of Section 2), or a plain instance viewed through Plain predicates.
 type Structure interface {
-	// Holds reports whether the predicate contains the tuple.
+	// Holds reports whether the predicate contains the tuple. It must not
+	// retain t: evaluation reuses the probe tuple.
 	Holds(p Pred, t instance.Tuple) bool
 	// TuplesOf returns all tuples of the predicate (deterministic order).
+	// Evaluation draws variable values from it and takes a listed tuple
+	// to hold without asking Holds, so the two must agree.
 	TuplesOf(p Pred) []instance.Tuple
 	// Domain returns the active domain of the structure: every value
 	// occurring in any predicate.
@@ -138,267 +143,535 @@ func sortSlice(n int, less func(i, j int) bool, swap func(i, j int)) {
 // is needed only to satisfy ≠ against all current values, and one fresh
 // value per quantified variable suffices).
 //
+// That domain is built lazily: only when the search reaches a quantified
+// variable that no conjunctive atom of its quantifier's body mentions (one
+// constrained only under a disjunction, a negation or an (in)equality).
+// Every other variable ranges over the values its generator atom's tuples
+// provide, which are complete for it. Eval is Prepare(f).Eval(st); callers
+// evaluating one sentence on many structures should prepare it once.
+//
 // Eval returns an error when f has free variables.
 func Eval(f Formula, st Structure) (bool, error) {
-	fv := FreeVars(f)
-	if len(fv) != 0 {
-		return false, fmt.Errorf("fo: Eval of open formula %s (free vars %v)", f, fv)
-	}
-	dom := evalDomain(f, st)
-	env := make(map[string]instance.Value)
-	return eval(f, st, dom, env), nil
+	return Prepare(f).Eval(st)
 }
 
 // EvalWith decides f under an environment binding its free variables.
 func EvalWith(f Formula, st Structure, env map[string]instance.Value) (bool, error) {
-	for _, v := range FreeVars(f) {
+	return Prepare(f).EvalWith(st, env)
+}
+
+// Prepared is a formula compiled once for repeated evaluation. Everything
+// that does not depend on the structure is done by Prepare: variables are
+// resolved to slots (an inner quantifier rebinding a name gets its own
+// slot, so it shadows the outer one), and the free variables, constants,
+// fresh-value reserve and each quantified variable's generator atom are
+// computed up front. A Prepared is immutable and safe for concurrent use.
+type Prepared struct {
+	f         Formula
+	root      *node
+	free      []string // free variables, sorted
+	freeSlots []int    // slot of each free variable, parallel to free
+	nslots    int
+	natoms    int
+	maxArity  int
+	consts    []instance.Value // Constants(f)
+	nvars     int              // quantified variables: the fresh reserve per type
+	fresh     []instance.Value // the fresh string reserve
+}
+
+type nodeKind uint8
+
+const (
+	kTruth nodeKind = iota
+	kAtom
+	kEq
+	kNeq
+	kAnd
+	kOr
+	kNot
+	kExists
+)
+
+// node is a compiled formula node. Eq and Neq keep their sides in args;
+// Not and Exists keep their operand in kids[0].
+type node struct {
+	kind nodeKind
+	val  bool // kTruth
+	pred Pred // kAtom
+	id   int  // kAtom: index among the formula's atoms
+	args []term
+	kids []*node
+	vars []qvar // kExists
+}
+
+// term is a compiled Term: a variable slot, or slot -1 and a constant.
+type term struct {
+	slot int
+	val  instance.Value
+}
+
+// qvar is a quantified variable. gen is the first atom occurring
+// conjunctively in the quantifier's body (through And and nested Exists)
+// with the variable at position pos: every witness value appears there, so
+// its tuples are a complete candidate set. gen is nil when no such atom
+// exists, and the variable ranges over the full domain. A variable its body
+// never mentions is not enumerated at all (the domain is never empty when
+// a variable is quantified).
+type qvar struct {
+	slot int
+	used bool
+	gen  *node
+	pos  int
+}
+
+// Prepare compiles f for repeated evaluation.
+func Prepare(f Formula) *Prepared {
+	c := compiler{free: make(map[string]int)}
+	p := &Prepared{f: f, root: c.compile(f)}
+	p.nslots, p.natoms, p.maxArity = len(c.used), c.atoms, c.maxArity
+	for v := range c.free {
+		p.free = append(p.free, v)
+	}
+	sort.Strings(p.free)
+	for _, v := range p.free {
+		p.freeSlots = append(p.freeSlots, c.free[v])
+	}
+	p.consts = Constants(f)
+	p.nvars = c.quantified
+	for i := 0; i < p.nvars; i++ {
+		p.fresh = append(p.fresh, instance.Str(fmt.Sprintf("$fresh%d", i)))
+	}
+	return p
+}
+
+// Formula returns the formula p was prepared from.
+func (p *Prepared) Formula() Formula { return p.f }
+
+// Eval decides whether the sentence holds in st; see the package-level
+// Eval. It returns an error when the formula has free variables.
+func (p *Prepared) Eval(st Structure) (bool, error) {
+	if len(p.free) != 0 {
+		return false, fmt.Errorf("fo: Eval of open formula %s (free vars %v)", p.f, p.free)
+	}
+	s := p.acquire(st)
+	defer s.release()
+	return s.eval(p.root), nil
+}
+
+// EvalWith decides the formula under an environment binding its free
+// variables.
+func (p *Prepared) EvalWith(st Structure, env map[string]instance.Value) (bool, error) {
+	for _, v := range p.free {
 		if _, ok := env[v]; !ok {
 			return false, fmt.Errorf("fo: EvalWith: free variable %s unbound", v)
 		}
 	}
-	dom := evalDomain(f, st)
-	return eval(f, st, dom, env), nil
+	s := p.acquire(st)
+	defer s.release()
+	for i, v := range p.free {
+		s.bind(p.freeSlots[i], env[v])
+	}
+	return s.eval(p.root), nil
 }
 
-// evalDomain assembles the quantification domain: active domain, formula
-// constants, plus fresh values per type for ≠-witnesses.
-func evalDomain(f Formula, st Structure) []instance.Value {
-	seen := make(map[instance.Value]bool)
-	var dom []instance.Value
-	add := func(v instance.Value) {
-		if !seen[v] {
-			seen[v] = true
-			dom = append(dom, v)
-		}
-	}
-	for _, v := range st.Domain() {
-		add(v)
-	}
-	for _, v := range Constants(f) {
-		add(v)
-	}
-	// Fresh reserve: as many fresh values per kind as quantified variables,
-	// but capped — one fresh int and string per variable is enough for any
-	// chain of inequalities.
-	nvars := countQuantified(f)
-	if nvars > 0 {
-		// Fresh ints: pick values below any present (min-1 downward).
-		var minInt int64 = 0
-		for v := range seen {
-			if v.Kind() == schema.TypeInt && v.AsInt() < minInt {
-				minInt = v.AsInt()
-			}
-		}
-		for i := 1; i <= nvars; i++ {
-			add(instance.Int(minInt - int64(i) - 1000000007))
-		}
-		for i := 0; i < nvars; i++ {
-			add(instance.Str(fmt.Sprintf("$fresh%d", i)))
-		}
-		add(instance.Bool(true))
-		add(instance.Bool(false))
-	}
-	return dom
+// compiler resolves variable names to slots while building the node tree.
+type compiler struct {
+	scope      []binder       // quantified variables in scope, innermost last
+	free       map[string]int // free variable → slot
+	used       []bool         // per slot: mentioned anywhere
+	atoms      int
+	quantified int
+	maxArity   int
 }
 
-func countQuantified(f Formula) int {
-	switch g := f.(type) {
-	case And:
-		n := 0
-		for _, c := range g.Conj {
-			n += countQuantified(c)
-		}
-		return n
-	case Or:
-		n := 0
-		for _, d := range g.Disj {
-			n += countQuantified(d)
-		}
-		return n
-	case Not:
-		return countQuantified(g.F)
-	case Exists:
-		return len(g.Vars) + countQuantified(g.Body)
-	default:
-		return 0
-	}
+type binder struct {
+	name string
+	slot int
 }
 
-func termValue(t Term, env map[string]instance.Value) (instance.Value, bool) {
-	if t.IsVar() {
-		v, ok := env[t.Name()]
-		return v, ok
-	}
-	return t.Value(), true
+func (c *compiler) newSlot() int {
+	c.used = append(c.used, false)
+	return len(c.used) - 1
 }
 
-func eval(f Formula, st Structure, dom []instance.Value, env map[string]instance.Value) bool {
+func (c *compiler) term(t Term) term {
+	if !t.IsVar() {
+		return term{slot: -1, val: t.Value()}
+	}
+	for i := len(c.scope) - 1; i >= 0; i-- {
+		if c.scope[i].name == t.Name() {
+			c.used[c.scope[i].slot] = true
+			return term{slot: c.scope[i].slot}
+		}
+	}
+	s, ok := c.free[t.Name()]
+	if !ok {
+		s = c.newSlot()
+		c.free[t.Name()] = s
+	}
+	c.used[s] = true
+	return term{slot: s}
+}
+
+func (c *compiler) compileAll(fs []Formula) []*node {
+	out := make([]*node, len(fs))
+	for i, f := range fs {
+		out[i] = c.compile(f)
+	}
+	return out
+}
+
+func (c *compiler) compile(f Formula) *node {
 	switch g := f.(type) {
 	case Truth:
-		return g.Val
+		return &node{kind: kTruth, val: g.Val}
 	case Atom:
-		tup := make(instance.Tuple, len(g.Args))
+		n := &node{kind: kAtom, pred: g.Pred, id: c.atoms, args: make([]term, len(g.Args))}
+		c.atoms++
 		for i, a := range g.Args {
-			v, ok := termValue(a, env)
+			n.args[i] = c.term(a)
+		}
+		if len(g.Args) > c.maxArity {
+			c.maxArity = len(g.Args)
+		}
+		return n
+	case Eq:
+		return &node{kind: kEq, args: []term{c.term(g.L), c.term(g.R)}}
+	case Neq:
+		return &node{kind: kNeq, args: []term{c.term(g.L), c.term(g.R)}}
+	case And:
+		return &node{kind: kAnd, kids: c.compileAll(g.Conj)}
+	case Or:
+		return &node{kind: kOr, kids: c.compileAll(g.Disj)}
+	case Not:
+		return &node{kind: kNot, kids: []*node{c.compile(g.F)}}
+	case Exists:
+		n := &node{kind: kExists, vars: make([]qvar, len(g.Vars))}
+		outer := len(c.scope)
+		for i, v := range g.Vars {
+			n.vars[i].slot = c.newSlot()
+			c.scope = append(c.scope, binder{name: v, slot: n.vars[i].slot})
+		}
+		c.quantified += len(g.Vars)
+		body := c.compile(g.Body)
+		n.kids = []*node{body}
+		c.scope = c.scope[:outer]
+		for i := range n.vars {
+			q := &n.vars[i]
+			q.used = c.used[q.slot]
+			q.gen, q.pos = generator(body, q.slot)
+		}
+		return n
+	default:
+		return &node{kind: kTruth}
+	}
+}
+
+// generator finds the first atom occurring conjunctively in n (through And
+// and nested Exists, never under Or or Not) that mentions slot, and the
+// position it occupies there.
+func generator(n *node, slot int) (*node, int) {
+	switch n.kind {
+	case kAtom:
+		for i, a := range n.args {
+			if a.slot == slot {
+				return n, i
+			}
+		}
+	case kAnd:
+		for _, k := range n.kids {
+			if g, pos := generator(k, slot); g != nil {
+				return g, pos
+			}
+		}
+	case kExists:
+		return generator(n.kids[0], slot)
+	}
+	return nil, -1
+}
+
+// evaluation is the scratch state of one Prepared.Eval call. It is pooled,
+// so a warm evaluation allocates nothing of its own.
+type evaluation struct {
+	p     *Prepared
+	st    Structure
+	vals  []instance.Value // per slot
+	bound []bool           // per slot
+	tup   instance.Tuple   // atom probe buffer (Holds must not retain it)
+	cands []instance.Value // stack of candidate segments, one per open variable
+	lists []listing        // TuplesOf results, fetched once per predicate
+	held  []bool           // per atom: instantiated by the current candidate
+	seen  map[instance.Value]bool
+	dom   []instance.Value // the quantification domain, once built
+	built bool
+}
+
+type listing struct {
+	pred   Pred
+	tuples []instance.Tuple
+}
+
+var evaluations = sync.Pool{New: func() any { return new(evaluation) }}
+
+func (p *Prepared) acquire(st Structure) *evaluation {
+	s := evaluations.Get().(*evaluation)
+	s.p, s.st = p, st
+	if cap(s.vals) < p.nslots {
+		s.vals = make([]instance.Value, p.nslots)
+		s.bound = make([]bool, p.nslots)
+	}
+	s.vals, s.bound = s.vals[:p.nslots], s.bound[:p.nslots]
+	if cap(s.tup) < p.maxArity {
+		s.tup = make(instance.Tuple, p.maxArity)
+	}
+	if cap(s.held) < p.natoms {
+		s.held = make([]bool, p.natoms)
+	}
+	s.held = s.held[:p.natoms]
+	return s
+}
+
+func (s *evaluation) release() {
+	clear(s.bound)
+	clear(s.held)
+	s.p, s.st = nil, nil
+	clear(s.lists)
+	s.cands, s.dom, s.built, s.lists = s.cands[:0], s.dom[:0], false, s.lists[:0]
+	evaluations.Put(s)
+}
+
+func (s *evaluation) bind(slot int, v instance.Value) {
+	s.vals[slot], s.bound[slot] = v, true
+}
+
+func (s *evaluation) value(t term) (instance.Value, bool) {
+	if t.slot < 0 {
+		return t.val, true
+	}
+	return s.vals[t.slot], s.bound[t.slot]
+}
+
+func (s *evaluation) eval(n *node) bool {
+	switch n.kind {
+	case kTruth:
+		return n.val
+	case kAtom:
+		if s.held[n.id] {
+			return true
+		}
+		tup := s.tup[:len(n.args)]
+		for i, a := range n.args {
+			v, ok := s.value(a)
 			if !ok {
 				return false
 			}
 			tup[i] = v
 		}
-		return st.Holds(g.Pred, tup)
-	case Eq:
-		l, lok := termValue(g.L, env)
-		r, rok := termValue(g.R, env)
-		return lok && rok && l == r
-	case Neq:
-		l, lok := termValue(g.L, env)
-		r, rok := termValue(g.R, env)
-		return lok && rok && l != r
-	case And:
-		for _, c := range g.Conj {
-			if !eval(c, st, dom, env) {
+		return s.st.Holds(n.pred, tup)
+	case kEq, kNeq:
+		l, lok := s.value(n.args[0])
+		r, rok := s.value(n.args[1])
+		return lok && rok && (l == r) == (n.kind == kEq)
+	case kAnd:
+		for _, k := range n.kids {
+			if !s.eval(k) {
 				return false
 			}
 		}
 		return true
-	case Or:
-		for _, d := range g.Disj {
-			if eval(d, st, dom, env) {
+	case kOr:
+		for _, k := range n.kids {
+			if s.eval(k) {
 				return true
 			}
 		}
 		return false
-	case Not:
-		return !eval(g.F, st, dom, env)
-	case Exists:
-		return evalExists(g.Vars, g.Body, st, dom, env)
+	case kNot:
+		return !s.eval(n.kids[0])
+	case kExists:
+		return s.exists(n.vars, n.kids[0])
 	default:
 		return false
 	}
 }
 
-// evalExists enumerates assignments for the quantified variables. Rather
-// than blindly ranging each variable over the full domain, it seeds
-// candidate assignments from matching atom tuples when the body is (or
-// starts with) a conjunction of atoms; this makes evaluation behave like a
-// join rather than a cross product.
-func evalExists(vars []string, body Formula, st Structure, dom []instance.Value, env map[string]instance.Value) bool {
-	// Collect positive atoms usable as generators for the variables.
-	atoms := generatorAtoms(body)
-	return searchAssign(vars, 0, atoms, body, st, dom, env)
-}
-
-// generatorAtoms returns atoms that occur conjunctively at the top of f
-// (positive positions only) and can bind variables.
-func generatorAtoms(f Formula) []Atom {
-	switch g := f.(type) {
-	case Atom:
-		return []Atom{g}
-	case And:
-		var out []Atom
-		for _, c := range g.Conj {
-			out = append(out, generatorAtoms(c)...)
-		}
-		return out
-	case Exists:
-		return generatorAtoms(g.Body)
-	default:
-		return nil
+// exists enumerates assignments for the quantified variables in order:
+// each ranges over its generator atom's candidates, or over the domain when
+// it has none, and the body is evaluated once all are bound.
+func (s *evaluation) exists(vars []qvar, body *node) bool {
+	if len(vars) == 0 {
+		return s.eval(body)
 	}
-}
-
-// generatorAtomsFor collects conjunctive atoms relevant to variable v,
-// refusing to descend into nested Exists nodes that rebind v (their atom
-// occurrences of the name belong to the inner scope).
-func generatorAtomsFor(v string, f Formula) []Atom {
-	switch g := f.(type) {
-	case Atom:
-		return []Atom{g}
-	case And:
-		var out []Atom
-		for _, c := range g.Conj {
-			out = append(out, generatorAtomsFor(v, c)...)
-		}
-		return out
-	case Exists:
-		for _, w := range g.Vars {
-			if w == v {
-				return nil
+	q := &vars[0]
+	if !q.used {
+		return s.exists(vars[1:], body)
+	}
+	found := false
+	if q.gen == nil {
+		for _, v := range s.domain() {
+			s.bind(q.slot, v)
+			if found = s.exists(vars[1:], body); found {
+				break
 			}
 		}
-		return generatorAtomsFor(v, g.Body)
-	default:
-		return nil
+	} else {
+		// Nested variables push their segments above this one, and may
+		// reallocate the stack, so index it afresh on every iteration.
+		start := len(s.cands)
+		pinned := s.candidates(q.gen, q.pos)
+		s.held[q.gen.id] = pinned
+		for i, end := start, len(s.cands); i < end; i++ {
+			s.bind(q.slot, s.cands[i])
+			if found = s.exists(vars[1:], body); found {
+				break
+			}
+		}
+		s.held[q.gen.id] = false
+		s.cands = s.cands[:start]
 	}
+	s.bound[q.slot] = false
+	return found
 }
 
-func searchAssign(vars []string, idx int, atoms []Atom, body Formula, st Structure, dom []instance.Value, env map[string]instance.Value) bool {
-	if idx == len(vars) {
-		return eval(body, st, dom, env)
+// candidates pushes the distinct values at position pos of the atom's
+// tuples that agree with its constants and with the variables already
+// bound. A witness must satisfy the atom, so no other value can work. It
+// reports whether the atom is pinned: every other position is already
+// determined, so each candidate instantiates the atom to a listed tuple.
+func (s *evaluation) candidates(a *node, pos int) (pinned bool) {
+	slot := a.args[pos].slot
+	// Distinct tuples give distinct values at pos unless another position
+	// holds a variable still unbound; only then can values repeat.
+	dedupe := false
+	for i, t := range a.args {
+		if i != pos && t.slot >= 0 && t.slot != slot && !s.bound[t.slot] {
+			dedupe = true
+		}
 	}
-	v := vars[idx]
-	if _, bound := env[v]; bound {
-		return searchAssign(vars, idx+1, atoms, body, st, dom, env)
-	}
-	// A variable occurring in a top-level conjunctive atom can only take
-	// values that atom's tuples provide — those candidates are complete, so
-	// no full-domain fallback is needed (and with zero candidates the
-	// conjunction is unsatisfiable outright). Variables constrained only
-	// inside disjunctions or by (in)equalities range over the full domain.
-	// Occurrences under a nested Exists that rebinds v do not count.
-	myAtoms := generatorAtomsFor(v, body)
-	var cands []instance.Value
-	if varInAtoms(v, myAtoms) {
-		cands = candidateValues(v, myAtoms, st)
-	} else {
-		cands = dom
-	}
-	tried := make(map[instance.Value]bool, len(cands))
-	for _, val := range cands {
-		if tried[val] {
+	start := len(s.cands)
+	for _, tup := range s.tuplesOf(a.pred) {
+		if len(tup) != len(a.args) || !s.agrees(a, tup, pos) {
 			continue
 		}
-		tried[val] = true
-		env[v] = val
-		if searchAssign(vars, idx+1, atoms, body, st, dom, env) {
-			delete(env, v)
-			return true
+		v := tup[pos]
+		if dedupe {
+			if s.seen[v] {
+				continue
+			}
+			if s.seen == nil {
+				s.seen = make(map[instance.Value]bool)
+			}
+			s.seen[v] = true
+		}
+		s.cands = append(s.cands, v)
+	}
+	if dedupe {
+		for _, v := range s.cands[start:] {
+			delete(s.seen, v)
 		}
 	}
-	delete(env, v)
-	return false
+	return !dedupe
 }
 
-// varInAtoms reports whether the variable occurs in one of the generator
-// atoms.
-func varInAtoms(v string, atoms []Atom) bool {
-	for _, a := range atoms {
-		for _, t := range a.Args {
-			if t.IsVar() && t.Name() == v {
-				return true
+// tuplesOf lists the predicate's tuples, asking the structure only once
+// per evaluation.
+func (s *evaluation) tuplesOf(p Pred) []instance.Tuple {
+	for _, l := range s.lists {
+		if l.pred == p {
+			return l.tuples
+		}
+	}
+	ts := s.st.TuplesOf(p)
+	s.lists = append(s.lists, listing{pred: p, tuples: ts})
+	return ts
+}
+
+// agrees reports whether tup can instantiate atom a with the variable at
+// pos taking tup[pos].
+func (s *evaluation) agrees(a *node, tup instance.Tuple, pos int) bool {
+	slot := a.args[pos].slot
+	for i, t := range a.args {
+		switch {
+		case i == pos:
+		case t.slot < 0:
+			if tup[i] != t.val {
+				return false
+			}
+		case t.slot == slot:
+			if tup[i] != tup[pos] {
+				return false
+			}
+		case s.bound[t.slot]:
+			if tup[i] != s.vals[t.slot] {
+				return false
 			}
 		}
 	}
-	return false
+	return true
 }
 
-// candidateValues collects values the variable can take from atoms mentioning
-// it. If the variable occurs in no atom, it returns nil (caller falls back
-// to full-domain enumeration).
-func candidateValues(v string, atoms []Atom, st Structure) []instance.Value {
-	var out []instance.Value
-	seen := make(map[instance.Value]bool)
-	for _, a := range atoms {
-		for i, t := range a.Args {
-			if t.IsVar() && t.Name() == v {
-				for _, tup := range st.TuplesOf(a.Pred) {
-					if i < len(tup) && !seen[tup[i]] {
-						seen[tup[i]] = true
-						out = append(out, tup[i])
-					}
-				}
-			}
+// domain returns the quantification domain, building it on first use:
+// the structure's active domain, the formula's constants, then a fresh
+// reserve of ints (below every present int), strings and both booleans.
+func (s *evaluation) domain() []instance.Value {
+	if s.built {
+		return s.dom
+	}
+	s.built = true
+	if s.seen == nil {
+		s.seen = make(map[instance.Value]bool)
+	}
+	dom := s.dom[:0]
+	add := func(v instance.Value) {
+		if !s.seen[v] {
+			s.seen[v] = true
+			dom = append(dom, v)
 		}
 	}
-	return out
+	for _, v := range s.st.Domain() {
+		add(v)
+	}
+	for _, v := range s.p.consts {
+		add(v)
+	}
+	if n := s.p.nvars; n > 0 {
+		var minInt int64
+		for _, v := range dom {
+			if v.Kind() == schema.TypeInt && v.AsInt() < minInt {
+				minInt = v.AsInt()
+			}
+		}
+		for i := 1; i <= n; i++ {
+			add(instance.Int(minInt - int64(i) - 1000000007))
+		}
+		for _, v := range s.p.fresh {
+			add(v)
+		}
+		add(instance.Bool(true))
+		add(instance.Bool(false))
+	}
+	for _, v := range dom {
+		delete(s.seen, v)
+	}
+	s.dom = dom
+	return dom
+}
+
+// ShareDomain wraps st so that its Domain is computed at most once: the
+// sentences evaluated on one transition then share a single active-domain
+// build among those that need one. The wrapper is not safe for concurrent
+// use.
+func ShareDomain(st Structure) Structure { return &sharedDomain{Structure: st} }
+
+type sharedDomain struct {
+	Structure
+	dom   []instance.Value
+	built bool
+}
+
+func (s *sharedDomain) Domain() []instance.Value {
+	if !s.built {
+		s.dom, s.built = s.Structure.Domain(), true
+	}
+	return s.dom
 }

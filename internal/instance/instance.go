@@ -1,7 +1,9 @@
 package instance
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,17 +47,20 @@ func (t Tuple) Equal(u Tuple) bool {
 }
 
 // Less imposes a total lexicographic order on tuples.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
+func (t Tuple) Less(u Tuple) bool { return t.compare(u) < 0 }
+
+// compare is the three-way form of Less.
+func (t Tuple) compare(u Tuple) int {
+	n := min(len(t), len(u))
 	for i := 0; i < n; i++ {
 		if t[i] != u[i] {
-			return t[i].Less(u[i])
+			if t[i].Less(u[i]) {
+				return -1
+			}
+			return 1
 		}
 	}
-	return len(t) < len(u)
+	return cmp.Compare(len(t), len(u))
 }
 
 // Clone returns a copy of the tuple.
@@ -274,7 +279,7 @@ func (in *Instance) Tuples(rel string) []Tuple {
 	for _, t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, Tuple.compare)
 	return out
 }
 
