@@ -168,9 +168,10 @@ type Checker struct {
 	// CheckAnytime round attempts (0 = all remaining); see WithAnytimeChunk.
 	anytimeChunk int
 	// solverMemo/emptinessMemo are never set on user-constructed checkers:
-	// CheckAnytime sets them on the derived per-round copy so the engines
-	// reuse a checkpoint's warm tables. They are execution detail, excluded
-	// from Fingerprint like parallelism.
+	// CheckAnytime and ShardPlanAnytime set them on a derived copy so the
+	// engines plan and solve through a checkpoint's warm tables, prep and
+	// plan. They are execution detail, excluded from Fingerprint like
+	// parallelism.
 	solverMemo    *accltl.SolverMemo
 	emptinessMemo *autom.EmptinessMemo
 	// negative carries the Bloom negative caches fronting the parallel
@@ -608,18 +609,12 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 	res.Truncated = sr.Truncated || sr.ResponsesCapped
 	if len(c.shards) > 0 {
 		// Shard-subset run: tag the verdict with its coverage so a partial
-		// answer is honest on its face. The plan derivation is a pure
-		// re-enumeration (no search), so its cost is negligible next to the
-		// solve; best-effort — a plan error leaves the totals at zero
-		// rather than failing a verdict already in hand.
-		distinct := make(map[int]bool, len(c.shards))
-		for _, idx := range c.shards {
-			distinct[idx] = true // duplicates collapse, like in the engine
-		}
-		res.ShardsCompleted = len(distinct)
-		if plan, _, err := c.ShardPlan(context.Background(), sch, f); err == nil {
-			res.ShardsTotal = len(plan)
-		}
+		// answer is honest on its face. The plan size is the one the solve
+		// itself walked; planning again here would enumerate the whole root
+		// partition a second time, which profiled at about 14% of a
+		// cold-check workload's CPU.
+		res.ShardsCompleted = len(dedupSortedShards(c.shards))
+		res.ShardsTotal = sr.TotalShards
 	}
 	return res, nil
 }
@@ -632,24 +627,7 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 // is what checkpoint capture reads. The int result is the compiled state
 // count for EngineAutomaton (zero otherwise).
 func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine Engine) (accltl.SolveResult, int, error) {
-	opts := accltl.SolveOptions{
-		Context:            ctx,
-		Schema:             sch,
-		Initial:            c.initial,
-		Grounded:           c.grounded,
-		IdempotentOnly:     c.idempotentOnly,
-		ExactMethods:       c.exactMethods,
-		AllExact:           c.allExact,
-		MaxDepth:           c.maxDepth,
-		Universe:           c.universe,
-		MaxResponseChoices: c.maxResponseChoices,
-		MaxPaths:           c.maxPaths,
-		Parallelism:        c.parallelism,
-		Shards:             c.shards,
-		Memo:               c.solverMemo,
-		Negative:           c.negative.solverFilter(),
-	}
-
+	opts := c.solveOptions(ctx, sch)
 	switch engine {
 	case EngineX:
 		sr, err := accltl.SolveX(f, opts)
@@ -668,22 +646,7 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 		if err != nil {
 			return accltl.SolveResult{}, 0, err
 		}
-		er, err := a.IsEmpty(autom.EmptinessOptions{
-			Context:            ctx,
-			Initial:            c.initial,
-			Grounded:           c.grounded,
-			IdempotentOnly:     c.idempotentOnly,
-			ExactMethods:       c.exactMethods,
-			AllExact:           c.allExact,
-			MaxDepth:           c.maxDepth,
-			MaxResponseChoices: c.maxResponseChoices,
-			MaxPaths:           c.maxPaths,
-			Universe:           c.universe,
-			Parallelism:        c.parallelism,
-			Shards:             c.shards,
-			Memo:               c.emptinessMemo,
-			Negative:           c.negative.emptinessFilter(),
-		})
+		er, err := a.IsEmpty(c.emptinessOptions(ctx))
 		sr := accltl.SolveResult{
 			Satisfiable:     !er.Empty,
 			Witness:         er.Witness,
@@ -735,20 +698,23 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 		if err != nil {
 			return nil, false, err
 		}
-		return a.PlanShards(autom.EmptinessOptions{
-			Context:            ctx,
-			Initial:            c.initial,
-			Grounded:           c.grounded,
-			IdempotentOnly:     c.idempotentOnly,
-			ExactMethods:       c.exactMethods,
-			AllExact:           c.allExact,
-			MaxDepth:           c.maxDepth,
-			MaxResponseChoices: c.maxResponseChoices,
-			MaxPaths:           c.maxPaths,
-			Universe:           c.universe,
-		})
+		return a.PlanShards(c.emptinessOptions(ctx))
 	}
-	opts := accltl.SolveOptions{
+	opts := c.solveOptions(ctx, sch)
+	// SolveX tightens the default depth bound to the X-nesting depth plus
+	// one before searching; the plan must use the same bound the search
+	// will.
+	if engine == EngineX && opts.MaxDepth == 0 {
+		opts.MaxDepth = accltl.TemporalDepth(f) + 1
+	}
+	return accltl.PlanShards(f, opts)
+}
+
+// solveOptions is the checker's configuration as solver options. The memo
+// is set only on copies made by through, which plan and solve through a
+// checkpoint.
+func (c *Checker) solveOptions(ctx context.Context, sch *Schema) accltl.SolveOptions {
+	return accltl.SolveOptions{
 		Context:            ctx,
 		Schema:             sch,
 		Initial:            c.initial,
@@ -760,14 +726,31 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 		Universe:           c.universe,
 		MaxResponseChoices: c.maxResponseChoices,
 		MaxPaths:           c.maxPaths,
+		Parallelism:        c.parallelism,
+		Shards:             c.shards,
+		Memo:               c.solverMemo,
+		Negative:           c.negative.solverFilter(),
 	}
-	// SolveX tightens the default depth bound to the X-nesting depth plus
-	// one before searching; the plan must use the same bound the search
-	// will.
-	if engine == EngineX && opts.MaxDepth == 0 {
-		opts.MaxDepth = accltl.TemporalDepth(f) + 1
+}
+
+// emptinessOptions is solveOptions for the automaton engine.
+func (c *Checker) emptinessOptions(ctx context.Context) autom.EmptinessOptions {
+	return autom.EmptinessOptions{
+		Context:            ctx,
+		Initial:            c.initial,
+		Grounded:           c.grounded,
+		IdempotentOnly:     c.idempotentOnly,
+		ExactMethods:       c.exactMethods,
+		AllExact:           c.allExact,
+		MaxDepth:           c.maxDepth,
+		MaxResponseChoices: c.maxResponseChoices,
+		MaxPaths:           c.maxPaths,
+		Universe:           c.universe,
+		Parallelism:        c.parallelism,
+		Shards:             c.shards,
+		Memo:               c.emptinessMemo,
+		Negative:           c.negative.emptinessFilter(),
 	}
-	return accltl.PlanShards(f, opts)
 }
 
 // resolveEngine is Check's engine dispatch as a function: the forced engine

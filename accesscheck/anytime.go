@@ -40,10 +40,12 @@ import (
 
 // Checkpoint is the suspended state of one check: which canonical root
 // shards have been fully explored so far, the cumulative search statistics,
-// and the engines' warm memo tables. It is keyed by the shard-less
-// fingerprint of the check (see Checker.Fingerprint — the same key a fabric
-// coordinator routes by), so partial progress made by different shard
-// subsets of the same check composes into one frontier.
+// and the engines' warm memo tables, which also hold the check's search
+// prep and root-shard plan, so every round walks the plan the first one
+// enumerated. It is keyed by the shard-less fingerprint of the check (see
+// Checker.Fingerprint — the same key a fabric coordinator routes by), so
+// partial progress made by different shard subsets of the same check
+// composes into one frontier.
 //
 // A Checkpoint serializes the rounds that use it: CheckAnytime holds an
 // internal lock for the duration of a round, so concurrent identical
@@ -72,11 +74,10 @@ type Checkpoint struct {
 // with the warm memo armed by the checker's negative caches (nil-safe):
 // resumed rounds then share the same process-wide Bloom filters as fresh
 // searches.
-func (c *Checker) newCheckpoint(key string, engine Engine, planSize int) *Checkpoint {
+func (c *Checker) newCheckpoint(key string, engine Engine) *Checkpoint {
 	cp := &Checkpoint{
 		key:       key,
 		engine:    engine,
-		planSize:  planSize,
 		completed: make(map[int]bool),
 	}
 	if engine == EngineAutomaton {
@@ -103,8 +104,8 @@ func (cp *Checkpoint) Rounds() int {
 }
 
 // PlanSize is the size of the canonical shard partition the completed
-// indexes refer to (zero while unknown — shard-subset rounds that never
-// needed the full plan).
+// indexes refer to (zero until the first round or ShardPlanAnytime has
+// planned the check).
 func (cp *Checkpoint) PlanSize() int {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -163,6 +164,12 @@ func (cp *Checkpoint) Coverage() float64 {
 // and entries are removed — never served — once the check settles. Eviction
 // under capacity pressure is safe: a resumed check that lost its checkpoint
 // merely starts from scratch, exactly as if the store had never existed.
+//
+// A stored partial holds its check's root-shard plan and search prep
+// besides the frontier and memo tables, so a resumed round neither
+// re-derives the witness universe nor re-enumerates the partition. The
+// plan's size grows with the check's root fan-out; the capacity bounds how
+// many plans the store keeps alive.
 type CheckpointStore struct {
 	lru *cache.LRU[*Checkpoint]
 }
@@ -229,9 +236,11 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 //
 // Contract:
 //
-//   - prev nil starts fresh; prev non-nil must come from a CheckAnytime of
-//     an identically-configured checker on the same schema and formula
-//     (same shard-less fingerprint), else an error is returned.
+//   - prev nil starts fresh; prev non-nil must come from a CheckAnytime or
+//     ShardPlanAnytime of an identically-configured checker on the same
+//     schema and formula (same shard-less fingerprint), else an error is
+//     returned. The check is planned once, through the checkpoint: later
+//     rounds walk that plan without enumerating it again.
 //   - An exact answer (witness found, or every targeted shard explored)
 //     comes back with Coverage 1 and Resumable false; the caller should
 //     drop any stored checkpoint for the key. The returned checkpoint is
@@ -268,53 +277,41 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	}
 
 	engine := c.resolveEngine(f)
-	key := c.anytimeKey(sch, f)
-	if prev != nil {
-		if pk := prev.Key(); pk != key {
-			return nil, nil, fmt.Errorf("accesscheck: CheckAnytime: checkpoint belongs to a different check (key %q, want %q)", pk, key)
-		}
+	cp, err := c.checkpointFor(sch, f, engine, prev, "CheckAnytime")
+	if err != nil {
+		return nil, nil, err
 	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 
-	// Resolve the target shard set and the plan size. A shard-restricted
-	// checker targets its configured subset and can defer the plan size
-	// (its caller — the fabric worker — knows the plan already); a whole
-	// check targets the full canonical partition and needs the plan once.
+	// Resolve the target shard set. A shard-restricted checker targets its
+	// configured subset and learns the plan size from its own round; a
+	// whole check targets the full canonical partition and plans once,
+	// through the checkpoint, so every round walks that same plan.
 	var target []int
-	planSize := 0
-	if prev != nil {
-		planSize = prev.PlanSize()
-	}
 	if c.shards != nil {
 		target = dedupSortedShards(c.shards)
 	} else {
-		if planSize == 0 {
-			plan, _, err := c.ShardPlan(ctx, sch, f)
+		if cp.planSize == 0 {
+			plan, _, err := c.through(cp).ShardPlan(ctx, sch, f)
 			if err != nil || len(plan) < 2 {
 				// Unshardable (or planning failed): there is no frontier to
-				// slice, so anytime degenerates to the plain check.
-				res, cerr := c.Check(ctx, sch, f)
+				// slice, so anytime degenerates to the plain check — still
+				// through the checkpoint's memos, which hold the prep and
+				// plan just built.
+				res, cerr := c.through(cp).Check(ctx, sch, f)
 				if cerr != nil {
 					return nil, nil, cerr
 				}
 				res.Coverage = 1
 				return res, nil, nil
 			}
-			planSize = len(plan)
+			cp.planSize = len(plan)
 		}
-		target = make([]int, planSize)
+		target = make([]int, cp.planSize)
 		for i := range target {
 			target[i] = i
 		}
-	}
-
-	cp := prev
-	if cp == nil {
-		cp = c.newCheckpoint(key, engine, planSize)
-	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.planSize == 0 {
-		cp.planSize = planSize
 	}
 
 	remaining := make([]int, 0, len(target))
@@ -338,13 +335,15 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		attempt = attempt[:c.anytimeChunk]
 	}
 
-	round := *c
+	round := c.through(cp)
 	round.shards = attempt
-	round.solverMemo = cp.solverMemo
-	round.emptinessMemo = cp.emptinessMemo
 
 	start := time.Now()
 	sr, automStates, err := round.runSolve(ctx, sch, f, engine)
+	if cp.planSize == 0 {
+		// A shard-restricted first round: its solve walked the full plan.
+		cp.planSize = sr.TotalShards
+	}
 	cp.rounds++
 	cp.paths += sr.PathsExplored
 	cp.elapsed += time.Since(start)
@@ -402,6 +401,56 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		// Chunked round: more frontier remains by construction.
 		return c.anytimePartial(f, engine, cp, target, len(done)), cp, nil
 	}
+}
+
+// ShardPlanAnytime is ShardPlan through a checkpoint: it plans the check
+// into prev's memos, or into a fresh checkpoint's when prev is nil, and
+// returns that checkpoint with the plan size recorded. Passing it to
+// CheckAnytime then walks the plan just enumerated instead of enumerating
+// it again — how a fabric worker verifies a wire shard against the same
+// plan its solve uses. prev must belong to the same check (see
+// CheckAnytime); a plan that is already built is returned without
+// enumerating.
+func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) ([]ShardID, bool, *Checkpoint, error) {
+	if sch == nil {
+		return nil, false, nil, fmt.Errorf("accesscheck: ShardPlanAnytime: nil schema")
+	}
+	if f == nil {
+		return nil, false, nil, fmt.Errorf("accesscheck: ShardPlanAnytime: nil formula")
+	}
+	cp, err := c.checkpointFor(sch, f, c.resolveEngine(f), prev, "ShardPlanAnytime")
+	if err != nil {
+		return nil, false, nil, err
+	}
+	plan, capped, err := c.through(cp).ShardPlan(ctx, sch, f)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	cp.mu.Lock()
+	cp.planSize = len(plan)
+	cp.mu.Unlock()
+	return plan, capped, cp, nil
+}
+
+// checkpointFor returns prev after checking it belongs to this check, or a
+// fresh checkpoint when prev is nil. op names the caller in errors.
+func (c *Checker) checkpointFor(sch *Schema, f Formula, engine Engine, prev *Checkpoint, op string) (*Checkpoint, error) {
+	key := c.anytimeKey(sch, f)
+	if prev == nil {
+		return c.newCheckpoint(key, engine), nil
+	}
+	if pk := prev.Key(); pk != key {
+		return nil, fmt.Errorf("accesscheck: %s: checkpoint belongs to a different check (key %q, want %q)", op, pk, key)
+	}
+	return prev, nil
+}
+
+// through is a copy of c that plans and solves through cp's memos.
+func (c *Checker) through(cp *Checkpoint) *Checker {
+	round := *c
+	round.solverMemo = cp.solverMemo
+	round.emptinessMemo = cp.emptinessMemo
+	return &round
 }
 
 // anytimeAfterExpiry resolves a blown budget against the frontier: a

@@ -112,15 +112,29 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		return nil, badRequest("%v", err)
 	}
 
+	extra := append(s.checkerExtras(), accesscheck.WithShards(sh.Indexes()...))
+	chk, err := checkerFor(wireOpts, par, extra...)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	fp := chk.Fingerprint(sch, f)
+
+	// Anytime frontier, keyed by the shard-keyed fingerprint: each shard
+	// group of a check owns its own checkpoint, so a redispatch of the
+	// identical group (retry, hedge, or a resume round) picks up where the
+	// blown budget left off, while sibling groups of the same check can
+	// never fold each other's cumulative statistics into a partial report —
+	// a group's paths must cover exactly its own slices for the
+	// coordinator's merge arithmetic to stay honest.
+	prev, _ := s.ckpts.Get(fp)
+
 	// Re-derive the partition and verify the sender's view of it. A
 	// mismatch means coordinator and worker would not be searching the same
 	// slices — version skew or diverging option defaults — and must fail
 	// loudly (409) rather than merge a verdict about the wrong subspace.
-	planChk, err := checkerFor(wireOpts, par)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	plan, _, err := planChk.ShardPlan(ctx, sch, f)
+	// The plan is built into the group's checkpoint (prev's, or a fresh
+	// one), so the solve below walks exactly the plan verified here.
+	plan, _, cp, err := chk.ShardPlanAnytime(ctx, sch, f, prev)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return nil, s.ctxErr(ctx, err)
@@ -141,12 +155,6 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		}
 	}
 
-	extra := append(s.checkerExtras(), accesscheck.WithShards(sh.Indexes()...))
-	chk, err := checkerFor(wireOpts, par, extra...)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	fp := chk.Fingerprint(sch, f)
 	if tr, ok := s.cache.Get(fp); ok && tr.Check != nil {
 		return shardResult(sh, tr.Check, true), nil
 	}
@@ -162,14 +170,6 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		}
 	}
 
-	// Anytime frontier, keyed by the shard-keyed fingerprint: each shard
-	// group of a check owns its own checkpoint, so a redispatch of the
-	// identical group (retry, hedge, or a resume round) picks up where the
-	// blown budget left off, while sibling groups of the same check can
-	// never fold each other's cumulative statistics into a partial report —
-	// a group's paths must cover exactly its own slices for the
-	// coordinator's merge arithmetic to stay honest.
-	prev, _ := s.ckpts.Get(fp)
 	if prev != nil {
 		s.anytimeResumes.Add(1)
 	}
@@ -182,7 +182,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	s.inFlight.Add(1)
 	s.parSum.Add(uint64(par))
 	s.parCount.Add(1)
-	res, cp, err := chk.CheckAnytime(ctx, sch, f, prev)
+	res, cp, err := chk.CheckAnytime(ctx, sch, f, cp)
 	s.inFlight.Add(-1)
 	<-s.sem
 

@@ -67,13 +67,15 @@ type SolveOptions struct {
 	Shards []int
 	// Memo, when non-nil, carries the solver's shared tables (obligation
 	// interner, progression cache, dominance memo) across calls so a
-	// resumed search starts warm instead of cold (progressive deepening).
-	// Only the sharded engine consults it. The tables are only valid for
-	// repeat searches of the *same* formula under the same options — reuse
-	// across different checks is unsound and unchecked. A search that ends
-	// early (witness, cap, error) scrubs the commitments of its unfinished
-	// shard walks before returning, so the surviving entries are safe to
-	// prune against in a later round; see NewSolverMemo.
+	// resumed search starts warm instead of cold (progressive deepening),
+	// plus the search prep and root-shard plan, so PlanShards followed by
+	// any number of searches enumerates the partition once. The serial
+	// engine reuses only the prep. The tables are only valid for repeat
+	// searches and plans of the *same* formula under the same options —
+	// reuse across different checks is unsound and unchecked. A search that
+	// ends early (witness, cap, error) scrubs the commitments of its
+	// unfinished shard walks before returning, so the surviving entries are
+	// safe to prune against in a later round; see NewSolverMemo.
 	Memo *SolverMemo
 	// Negative, when non-nil, fronts the sharded engine's dominance memo
 	// with a shared Bloom negative cache: a key the filter has definitely
@@ -295,13 +297,22 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 	}, depth, nil
 }
 
+// searchLTSOptionsVia is searchLTSOptions through opts.Memo's carried prep.
+func searchLTSOptionsVia(f Formula, opts SolveOptions) (lts.Options, int, error) {
+	return opts.Memo.searchPrep().Options(opts.Context, func() (lts.Options, int, error) {
+		return searchLTSOptions(f, opts)
+	})
+}
+
 // PlanShards enumerates the root shards a bounded search of f under opts
 // would partition into, in the canonical sorted order SolveOptions.Shards
 // indexes. The plan is a pure function of (schema, formula, options):
 // Parallelism and Shards themselves do not affect it, so a coordinator and
 // its workers given the same check derive identical plans. The bool result
 // reports whether root response fan-out was truncated to
-// MaxResponseChoices during enumeration.
+// MaxResponseChoices during enumeration. With opts.Memo set the plan is
+// built into the memo (or read from it when already built), and the
+// searches that follow through the same memo walk it without enumerating.
 func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	if opts.Schema == nil {
 		return nil, false, fmt.Errorf("accltl: SolveOptions.Schema is required")
@@ -309,11 +320,11 @@ func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	if err := CheckSentences(f); err != nil {
 		return nil, false, err
 	}
-	ltsOpts, _, err := searchLTSOptions(f, opts)
+	ltsOpts, _, err := searchLTSOptionsVia(f, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return lts.Shards(opts.Schema, ltsOpts)
+	return opts.Memo.searchPrep().Shards(opts.Schema, ltsOpts)
 }
 
 func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, error) {
@@ -349,7 +360,7 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	}
 	skeleton = ltl.NNF(skeleton)
 
-	ltsOpts, depth, err := searchLTSOptions(f, opts)
+	ltsOpts, depth, err := searchLTSOptionsVia(f, opts)
 	if err != nil {
 		return SolveResult{}, err
 	}

@@ -149,10 +149,26 @@ type solverSpine struct {
 // search (an entry that survives means some round finished that subtree
 // without finding a witness, so pruning against it later is sound). A memo
 // is tied to one (formula, options) pair; callers key it accordingly.
+//
+// The memo also carries the check's search prep — the exploration options
+// with the witness universe, the depth bound and the binding pool — and its
+// root-shard plan, each built by the first PlanShards or search through the
+// memo and reused by every later one. Planning a check and then solving it
+// through one memo therefore enumerates the root partition once.
 type SolverMemo struct {
 	in   *obInterner
 	prog *progTable
 	memo *lts.DominanceMemo[solverMemoKey]
+
+	prep lts.SearchPrep
+}
+
+// searchPrep is the memo's carried prep, or nil for a nil memo.
+func (m *SolverMemo) searchPrep() *lts.SearchPrep {
+	if m == nil {
+		return nil
+	}
+	return &m.prep
 }
 
 // NewSolverMemo builds an empty reusable table set.
@@ -194,6 +210,7 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 	useMask := len(letters) <= 64
 	tables := opts.Memo
 	persist := tables != nil
+	plan := tables.searchPrep().Plan()
 	if tables == nil {
 		tables = NewSolverMemoNeg(opts.Negative)
 	}
@@ -307,7 +324,7 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 	}
 	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
 
-	rep, searchErr := lts.ExploreSharded(opts.Schema, ltsOpts, root, factory)
+	rep, searchErr := lts.ExploreSharded(opts.Schema, ltsOpts, plan, root, factory)
 	res.PathsExplored = rep.Paths
 	res.CompletedShards = rep.CompletedShards
 	res.TotalShards = rep.TotalShards

@@ -56,9 +56,11 @@ type EmptinessOptions struct {
 	// the sharded engine even at Parallelism ≤ 1.
 	Shards []int
 	// Memo, when non-nil, carries the product search's dominance memo
-	// across calls so a resumed search starts warm (progressive deepening).
-	// Only the sharded engine consults it, it is only valid for repeat
-	// searches of the same automaton under the same options, and searches
+	// across calls so a resumed search starts warm (progressive deepening),
+	// plus the search prep and root-shard plan, so PlanShards followed by
+	// any number of searches enumerates the partition once. The serial
+	// engine reuses only the prep. It is only valid for repeat searches and
+	// plans of the same automaton under the same options, and searches
 	// that end early scrub their unfinished walks' commitments before
 	// returning; see NewEmptinessMemo.
 	Memo *EmptinessMemo
@@ -115,7 +117,7 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 			return EmptinessResult{}, err
 		}
 	}
-	ltsOpts, depth, err := a.emptinessLTSOptions(opts)
+	ltsOpts, depth, err := a.emptinessLTSOptionsVia(opts)
 	if err != nil {
 		return EmptinessResult{}, err
 	}
@@ -253,21 +255,31 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 	}, depth, nil
 }
 
+// emptinessLTSOptionsVia is emptinessLTSOptions through opts.Memo's
+// carried prep.
+func (a *Automaton) emptinessLTSOptionsVia(opts EmptinessOptions) (lts.Options, int, error) {
+	return opts.Memo.searchPrep().Options(opts.Context, func() (lts.Options, int, error) {
+		return a.emptinessLTSOptions(opts)
+	})
+}
+
 // PlanShards enumerates the root shards an emptiness search of a under opts
 // would partition into, in the canonical sorted order
 // EmptinessOptions.Shards indexes. Pure in (automaton, options) —
 // Parallelism and Shards themselves do not affect it — so independent
 // processes derive identical plans. The bool result reports whether root
-// response fan-out was truncated during enumeration.
+// response fan-out was truncated during enumeration. With opts.Memo set the
+// plan is built into the memo (or read from it), and searches through the
+// same memo walk it without enumerating again.
 func (a *Automaton) PlanShards(opts EmptinessOptions) ([]lts.ShardID, bool, error) {
 	if err := a.Validate(); err != nil {
 		return nil, false, err
 	}
-	ltsOpts, _, err := a.emptinessLTSOptions(opts)
+	ltsOpts, _, err := a.emptinessLTSOptionsVia(opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return lts.Shards(a.Schema, ltsOpts)
+	return opts.Memo.searchPrep().Shards(a.Schema, ltsOpts)
 }
 
 // stateSetKey renders a state set canonically.

@@ -32,8 +32,23 @@ type emptinessMemoKey struct {
 // that were cut short are scrubbed before every search returns, so a
 // surviving entry means some round finished that subtree without reaching
 // an accepting state. A memo is tied to one (automaton, options) pair.
+//
+// Like the solver's memo it also carries the search prep (exploration
+// options with the guard-derived universe, and the depth bound) and the
+// root-shard plan, built by the first PlanShards or search through the memo
+// and reused by every later one.
 type EmptinessMemo struct {
 	memo *lts.DominanceMemo[emptinessMemoKey]
+
+	prep lts.SearchPrep
+}
+
+// searchPrep is the memo's carried prep, or nil for a nil memo.
+func (m *EmptinessMemo) searchPrep() *lts.SearchPrep {
+	if m == nil {
+		return nil
+	}
+	return &m.prep
 }
 
 // NewEmptinessMemo builds an empty reusable memo.
@@ -83,6 +98,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 	res := EmptinessResult{Empty: true, Depth: depth}
 	tables := opts.Memo
 	persist := tables != nil
+	plan := tables.searchPrep().Plan()
 	if tables == nil {
 		tables = NewEmptinessMemoNeg(opts.Negative)
 	}
@@ -150,7 +166,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 	}
 	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
 
-	rep, err := lts.ExploreSharded(a.Schema, ltsOpts, root, factory)
+	rep, err := lts.ExploreSharded(a.Schema, ltsOpts, plan, root, factory)
 	res.PathsExplored = rep.Paths
 	res.CompletedShards = rep.CompletedShards
 	res.TotalShards = rep.TotalShards

@@ -66,6 +66,13 @@ func (n nextOb) String() string {
 func markNext(f Formula) Formula     { return nextOb{F: f} }
 func markWeakNext(f Formula) Formula { return nextOb{F: f, weak: true} }
 
+// mkAnd and mkOr build one progression node, folding truth constants and
+// collapsing identical operands. Identity is structural: every Formula type
+// is comparable, so l == r is an allocation-free deep compare that stops at
+// the first difference. Rendering both operands instead cost their full
+// size at every node, which made progression quadratic in obligation size.
+// The two notions agree whenever proposition names render unambiguously,
+// as the solvers' q0, q1, … skeletons do.
 func mkAnd(l, r Formula) Formula {
 	if lt, ok := l.(Truth); ok {
 		if !bool(lt) {
@@ -79,7 +86,7 @@ func mkAnd(l, r Formula) Formula {
 		}
 		return l
 	}
-	if l.String() == r.String() {
+	if l == r {
 		return l
 	}
 	return And{L: l, R: r}
@@ -98,7 +105,7 @@ func mkOr(l, r Formula) Formula {
 		}
 		return l
 	}
-	if l.String() == r.String() {
+	if l == r {
 		return l
 	}
 	return Or{L: l, R: r}

@@ -25,15 +25,16 @@ package lts
 // Shards are sorted by access fingerprint (access key, then response
 // fingerprint) before assignment, so the shard order — and with it the
 // witness preference of solvers built on shard indexes — is deterministic
-// across runs. Which shard a given walker executes still depends on
-// scheduling, and so does the exact moment the early-cancel broadcast lands,
-// which is why early-stopped runs (witness found, context expired) report
-// timing-dependent path counts; exhaustive runs do not.
+// across runs. The sorted partition is a Plan value (shard.go), enumerated
+// once and walked by every exploration that is handed it. Which shard a
+// given walker executes still depends on scheduling, and so does the exact
+// moment the early-cancel broadcast lands, which is why early-stopped runs
+// (witness found, context expired) report timing-dependent path counts;
+// exhaustive runs do not.
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -115,7 +116,13 @@ const maxShardMasksPerAccess = 256
 // index, so subset runs on different machines can be merged with the same
 // lowest-shard witness preference as one full in-process run (see Shards
 // and ShardID for the enumeration the indexes refer to).
-func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, factory func(shard int) Visitor) (Report, error) {
+//
+// plan is the root partition to walk. A built plan is walked as is, with no
+// enumeration; an unbuilt one is built once the root visit asks for
+// expansion, and stays built for the caller's next exploration; nil walks a
+// fresh plan that is dropped afterwards. The plan must belong to sch and
+// opts (see Plan). The Report is identical whichever of the three is given.
+func ExploreSharded(sch *schema.Schema, opts Options, plan *Plan, root Visitor, factory func(shard int) Visitor) (Report, error) {
 	o := opts.withDefaults()
 	if o.Universe == nil {
 		return Report{}, fmt.Errorf("lts: ExploreSharded requires a Universe instance")
@@ -125,16 +132,13 @@ func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, factory func
 			return Report{}, err
 		}
 	}
-	return exploreSharded(sch, o, root, factory)
+	return exploreSharded(sch, o, plan, root, factory)
 }
 
 // exploreSharded runs the sharded exploration; o has defaults applied and a
-// live context.
-func exploreSharded(sch *schema.Schema, o Options, root Visitor, factory func(shard int) Visitor) (Report, error) {
-	init := o.Initial
-	if init == nil {
-		init = instance.NewInstance(sch)
-	}
+// live context. A nil plan gets a fresh one, built at the root fan-out.
+func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, factory func(shard int) Visitor) (Report, error) {
+	init := initialOf(sch, o)
 	coord := &shardCoord{}
 	coord.paths.Add(1) // the root prefix
 	rootPre := init.Clone()
@@ -151,17 +155,19 @@ func exploreSharded(sch *schema.Schema, o Options, root Visitor, factory func(sh
 		return rep, nil
 	}
 
-	uTuples, uDomain := universeCaches(sch, o.Universe)
-	shards, rootRespCapped, err := enumerateRootShards(sch, o, init, uTuples, uDomain)
-	if err != nil {
+	if plan == nil {
+		plan = &Plan{}
+	}
+	if err := plan.build(sch, o, init); err != nil {
 		return rep, err
 	}
+	shards, rootRespCapped := plan.shards, plan.respCapped
 	rep.ResponsesCapped = rootRespCapped
 	// Options.Shards restricts execution to a subset of the canonical
-	// partition: the full enumeration above still fixes the indexes (and the
-	// root-level ResponsesCapped), only dispatch is filtered. order holds
-	// the canonical indexes to execute, ascending, so the deterministic
-	// shard-order semantics survive subsetting.
+	// partition: the full plan still fixes the indexes (and the root-level
+	// ResponsesCapped), only dispatch is filtered. order holds the canonical
+	// indexes to execute, ascending, so the deterministic shard-order
+	// semantics survive subsetting.
 	order := make([]int, len(shards))
 	for i := range order {
 		order[i] = i
@@ -201,8 +207,8 @@ func exploreSharded(sch *schema.Schema, o Options, root Visitor, factory func(sh
 			defer wg.Done()
 			e := newExplorer(sch, o)
 			e.shared = coord
-			e.uTuples = uTuples
-			e.uDomain = uDomain
+			e.uTuples = plan.uTuples
+			e.uDomain = plan.uDomain
 			e.path = access.NewPath(sch)
 			e.post = init.Clone()
 			e.pre = init.Clone()
@@ -302,102 +308,6 @@ func (e *explorer) stepWholeAccess(ba *boundAccess) error {
 	}
 }
 
-// enumerateRootShards materializes the root branching — every (first
-// access, first response) pair reachable from the initial configuration —
-// in the canonical order: sorted by access key, then response fingerprint.
-// The sort makes shard indexes (and so the shard→walker assignment and any
-// index-based witness preference) deterministic across runs, independent of
-// schema method insertion order. The bool result reports whether the root
-// subset-response fan-out was truncated to MaxResponseChoices.
-func enumerateRootShards(sch *schema.Schema, o Options, init *instance.Instance, uTuples map[string]*relCache, uDomain []instance.Value) ([]rootShard, bool, error) {
-	e := newExplorer(sch, o)
-	// Reuse the precomputed read-only universe caches the walkers share:
-	// recomputing them here would key and sort every universe tuple twice
-	// per exploration.
-	e.uTuples = uTuples
-	e.uDomain = uDomain
-	for _, v := range init.ActiveDomain() {
-		e.known[v] = true
-	}
-	fr := &frame{}
-	var shards []rootShard
-	var sk strings.Builder
-	polled := 0
-	for _, m := range sch.Methods() {
-		bas, err := e.bindings(m)
-		if err != nil {
-			return nil, e.respCapped, err
-		}
-		exact := e.exact(m)
-		for i := range bas {
-			// Poll the context every few bindings, like Successors does for
-			// the same method × binding × response product: the whole root
-			// fan-out is materialized before any walker starts polling, so
-			// an expired budget must be honoured here too.
-			polled++
-			if o.Context != nil && polled&0x3f == 0 {
-				if err := o.Context.Err(); err != nil {
-					return nil, e.respCapped, err
-				}
-			}
-			ba := bas[i]
-			if !exact {
-				// A subset fan-out beyond the per-access limit becomes one
-				// lazy whole-access shard instead of 2^k materialized ones.
-				matching, _ := e.matching(fr, ba.acc)
-				n := len(matching)
-				if n > e.opts.MaxResponseChoices {
-					n = e.opts.MaxResponseChoices
-					e.respCapped = true
-				}
-				if n > 8 || 1<<n > maxShardMasksPerAccess {
-					shards = append(shards, rootShard{ba: ba, wholeAccess: true, sortKey: ba.key})
-					continue
-				}
-			}
-			it := e.responses(fr, ba.acc, exact)
-			for {
-				resp, keys, ok := it.next(fr)
-				if !ok {
-					break
-				}
-				r := make([]instance.Tuple, len(resp))
-				copy(r, resp)
-				k := make([]string, len(keys))
-				copy(k, keys)
-				sk.Reset()
-				sk.WriteString(ba.key)
-				sk.WriteByte(0x1e)
-				sk.WriteString(e.respFingerprintKeyed(fr, k))
-				shards = append(shards, rootShard{ba: ba, resp: r, keys: k, sortKey: sk.String()})
-			}
-		}
-	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].sortKey < shards[j].sortKey })
-	return shards, e.respCapped, nil
-}
-
-// universeCaches precomputes the per-relation universe contents (with
-// canonical keys) and the active domain once, for read-only sharing across
-// all walkers: the caches cover every relation of the schema, so no walker
-// ever takes the lazy-fill path in matching concurrently.
-func universeCaches(sch *schema.Schema, u *instance.Instance) (map[string]*relCache, []instance.Value) {
-	uTuples := make(map[string]*relCache, sch.NumRelations())
-	for _, r := range sch.Relations() {
-		ts := u.Tuples(r.Name())
-		rc := &relCache{tuples: ts, keys: make([]string, len(ts))}
-		for i, t := range ts {
-			rc.keys[i] = t.Key()
-		}
-		uTuples[r.Name()] = rc
-	}
-	dom := u.ActiveDomain()
-	if dom == nil {
-		dom = []instance.Value{}
-	}
-	return uTuples, dom
-}
-
 // collectShardStats is one shard's private tally: per-depth visit counts
 // and per-depth distinct-configuration sets keyed by the instances'
 // incremental Hash. Nothing is shared in the hot loop — the global counts
@@ -450,7 +360,7 @@ func collectParallel(sch *schema.Schema, opts Options) (Stats, error) {
 		return ss
 	}
 	rootStats := newStats()
-	rep, err := exploreSharded(sch, o,
+	rep, err := exploreSharded(sch, o, nil,
 		func(p *access.Path, _, conf *instance.Instance) (bool, error) {
 			rootStats.visit(p, conf)
 			return true, nil

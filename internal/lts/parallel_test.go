@@ -161,7 +161,7 @@ func TestExploreShardedContract(t *testing.T) {
 	}
 	var mu sync.Mutex
 	traces := map[int]*shardTrace{}
-	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4},
+	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4}, nil,
 		func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
 			rootVisits.Add(1)
 			if p.Len() != 0 {
@@ -395,7 +395,7 @@ func TestParallelWholeAccessShardsMatchSerial(t *testing.T) {
 func TestExploreShardedEdgeCases(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
-	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 0, Parallelism: 4},
+	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 0, Parallelism: 4}, nil,
 		func(p *access.Path, _, _ *instance.Instance) (bool, error) { return true, nil },
 		func(shard int) Visitor {
 			t.Errorf("factory called for shard %d at depth 0", shard)
@@ -404,7 +404,7 @@ func TestExploreShardedEdgeCases(t *testing.T) {
 	if err != nil || rep.Paths != 1 || rep.PathsCapped {
 		t.Fatalf("depth 0: rep=%+v err=%v", rep, err)
 	}
-	rep, err = ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4},
+	rep, err = ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4}, nil,
 		func(p *access.Path, _, _ *instance.Instance) (bool, error) { return false, nil },
 		func(shard int) Visitor {
 			t.Errorf("factory called for shard %d after root declined", shard)
@@ -413,7 +413,7 @@ func TestExploreShardedEdgeCases(t *testing.T) {
 	if err != nil || rep.Paths != 1 {
 		t.Fatalf("root decline: rep=%+v err=%v", rep, err)
 	}
-	if _, err := ExploreSharded(s, Options{MaxDepth: 1}, nil, nil); err == nil {
+	if _, err := ExploreSharded(s, Options{MaxDepth: 1}, nil, nil, nil); err == nil {
 		t.Error("nil universe accepted")
 	}
 }

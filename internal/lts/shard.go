@@ -1,19 +1,28 @@
 package lts
 
-// First-class shard descriptors: the refactor that takes the PR 4 root-
-// branching partition out of process. enumerateRootShards already
-// materializes the partition in a canonical deterministic order; this file
-// exposes that order as serializable descriptors (ShardID) and lets a
-// caller execute any subset of it (Options.Shards), so a distributed
-// coordinator can enumerate the partition once, ship each piece to a remote
-// worker as data, and have the worker re-derive the identical partition and
-// run exactly the assigned slice. Everything identifying a shard is derived
-// deterministically from (schema, options, initial, universe): identical
-// inputs enumerate identical descriptors on every machine.
+// Root-shard plans: the canonical partition of a sharded exploration as a
+// value. A Plan materializes the root branching once — every (first access,
+// first response) pair in the canonical sorted order, the root-level
+// ResponsesCapped, and the read-only universe caches every walker shares —
+// and ExploreSharded walks a supplied plan instead of enumerating it again.
+// A caller that plans (to learn the partition's size, to verify a wire
+// shard against it) and then searches, or that resumes a search over
+// several rounds, therefore pays for one enumeration per check.
+//
+// Shards exposes a plan as serializable descriptors (ShardID), and
+// Options.Shards executes any subset of it, so a distributed coordinator
+// can ship each piece to a remote worker as data and have the worker
+// re-derive the identical partition and run exactly the assigned slice.
+// Everything identifying a shard is derived deterministically from
+// (schema, options, initial, universe): identical inputs enumerate
+// identical descriptors on every machine.
 
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -23,7 +32,7 @@ import (
 // in the canonical sorted order and its canonical key. The key is the
 // access key (method name plus binding) for whole-access shards, or the
 // access key joined to the response fingerprint (0x1e-separated) for
-// per-response shards — exactly the sort key enumerateRootShards orders by,
+// per-response shards — exactly the sort key the enumeration orders by,
 // so Index and Key always agree between two enumerations over the same
 // inputs. WholeAccess marks a lazy-range shard: one covering every response
 // of its access, enumerated lazily by the walker that executes it (see
@@ -32,6 +41,67 @@ type ShardID struct {
 	Index       int
 	Key         string
 	WholeAccess bool
+}
+
+// Plan is the materialized root partition of one sharded exploration. The
+// zero value is an unbuilt plan: Build (or the first ExploreSharded that
+// walks it) enumerates the partition, and every later use walks the
+// materialized shards without enumerating again. A built plan is read-only
+// and safe for concurrent use by any number of explorations.
+//
+// A plan belongs to one (schema, exploration options) pair: the
+// enumeration reads the universe, the initial instance and the
+// path-restriction options (grounding, exactness, the response-choice cap,
+// extra binding values), and the first build fixes them. Walking it under
+// different options is unchecked and wrong. MaxDepth, MaxPaths,
+// Parallelism, Shards and Context do not enter the plan.
+type Plan struct {
+	mu         sync.Mutex
+	built      bool
+	shards     []rootShard
+	respCapped bool
+	// Read-only universe caches shared by every walker: relation contents
+	// with canonical keys, and the active domain.
+	uTuples map[string]*relCache
+	uDomain []instance.Value
+}
+
+// planBuilds counts root enumerations in this process. The plan-reuse
+// tests read it through PlanBuilds to pin "one enumeration per check".
+var planBuilds atomic.Int64
+
+// PlanBuilds reports how many root partitions this process has enumerated.
+// It is a diagnostic counter: tests use it to check that a plan built once
+// is walked, not re-enumerated.
+func PlanBuilds() int64 { return planBuilds.Load() }
+
+// Build enumerates the plan's partition for sch under opts unless it is
+// already built. A failed build (context expiry, binding fault) leaves the
+// plan unbuilt, so a later call can retry.
+func (p *Plan) Build(sch *schema.Schema, opts Options) error {
+	o := opts.withDefaults()
+	if o.Universe == nil {
+		return fmt.Errorf("lts: Plan.Build requires a Universe instance")
+	}
+	if o.Context != nil {
+		if err := o.Context.Err(); err != nil {
+			return err
+		}
+	}
+	return p.build(sch, o, initialOf(sch, o))
+}
+
+// ResponsesCapped reports whether the root subset-response fan-out was
+// truncated to MaxResponseChoices during enumeration.
+func (p *Plan) ResponsesCapped() bool { return p.respCapped }
+
+// Shards returns the built plan's descriptors in canonical order.
+func (p *Plan) Shards() []ShardID {
+	ids := make([]ShardID, len(p.shards))
+	for i, sh := range p.shards {
+		ids[i] = ShardID{Index: i, Key: sh.sortKey, WholeAccess: sh.wholeAccess}
+	}
+	return ids
 }
 
 // Shards enumerates the root shards a sharded exploration of sch under opts
@@ -46,29 +116,124 @@ type ShardID struct {
 // two processes given the same inputs agree on every Index and Key — the
 // property the distributed check fabric's wire shards rely on.
 func Shards(sch *schema.Schema, opts Options) ([]ShardID, bool, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return nil, false, fmt.Errorf("lts: Shards requires a Universe instance")
+	var p Plan
+	if err := p.Build(sch, opts); err != nil {
+		return nil, false, err
 	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return nil, false, err
+	return p.Shards(), p.respCapped, nil
+}
+
+// initialOf is the exploration's initial instance (empty when unset).
+func initialOf(sch *schema.Schema, o Options) *instance.Instance {
+	if o.Initial != nil {
+		return o.Initial
+	}
+	return instance.NewInstance(sch)
+}
+
+// build is the single root enumeration: it materializes every (first
+// access, first response) pair reachable from init in the canonical order —
+// sorted by access key, then response fingerprint — together with the
+// universe caches the walkers share. The sort makes shard indexes (and so
+// the shard→walker assignment and any index-based witness preference)
+// deterministic across runs, independent of schema method insertion order.
+// o has defaults applied.
+func (p *Plan) build(sch *schema.Schema, o Options, init *instance.Instance) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.built {
+		return nil
+	}
+	planBuilds.Add(1)
+	uTuples, uDomain := universeCaches(sch, o.Universe)
+	e := newExplorer(sch, o)
+	// The walkers share these read-only caches; recomputing them per
+	// walker would key and sort every universe tuple again.
+	e.uTuples = uTuples
+	e.uDomain = uDomain
+	for _, v := range init.ActiveDomain() {
+		e.known[v] = true
+	}
+	fr := &frame{}
+	var shards []rootShard
+	var sk strings.Builder
+	polled := 0
+	for _, m := range sch.Methods() {
+		bas, err := e.bindings(m)
+		if err != nil {
+			return err
+		}
+		exact := e.exact(m)
+		for i := range bas {
+			// Poll the context every few bindings, like Successors does for
+			// the same method × binding × response product: the whole root
+			// fan-out is materialized before any walker starts polling, so
+			// an expired budget must be honoured here too.
+			polled++
+			if o.Context != nil && polled&0x3f == 0 {
+				if err := o.Context.Err(); err != nil {
+					return err
+				}
+			}
+			ba := bas[i]
+			if !exact {
+				// A subset fan-out beyond the per-access limit becomes one
+				// lazy whole-access shard instead of 2^k materialized ones.
+				matching, _ := e.matching(fr, ba.acc)
+				n := len(matching)
+				if n > e.opts.MaxResponseChoices {
+					n = e.opts.MaxResponseChoices
+					e.respCapped = true
+				}
+				if n > 8 || 1<<n > maxShardMasksPerAccess {
+					shards = append(shards, rootShard{ba: ba, wholeAccess: true, sortKey: ba.key})
+					continue
+				}
+			}
+			it := e.responses(fr, ba.acc, exact)
+			for {
+				resp, keys, ok := it.next(fr)
+				if !ok {
+					break
+				}
+				r := make([]instance.Tuple, len(resp))
+				copy(r, resp)
+				k := make([]string, len(keys))
+				copy(k, keys)
+				sk.Reset()
+				sk.WriteString(ba.key)
+				sk.WriteByte(0x1e)
+				sk.WriteString(e.respFingerprintKeyed(fr, k))
+				shards = append(shards, rootShard{ba: ba, resp: r, keys: k, sortKey: sk.String()})
+			}
 		}
 	}
-	init := o.Initial
-	if init == nil {
-		init = instance.NewInstance(sch)
+	sort.Slice(shards, func(i, j int) bool { return shards[i].sortKey < shards[j].sortKey })
+	p.shards, p.respCapped = shards, e.respCapped
+	p.uTuples, p.uDomain = uTuples, uDomain
+	p.built = true
+	return nil
+}
+
+// universeCaches precomputes the per-relation universe contents (with
+// canonical keys) and the active domain once, for read-only sharing across
+// all walkers: the caches cover every relation of the schema, so no walker
+// ever takes the lazy-fill path in matching concurrently.
+func universeCaches(sch *schema.Schema, u *instance.Instance) (map[string]*relCache, []instance.Value) {
+	uTuples := make(map[string]*relCache, sch.NumRelations())
+	for _, r := range sch.Relations() {
+		ts := u.Tuples(r.Name())
+		rc := &relCache{tuples: ts, keys: make([]string, len(ts))}
+		for i, t := range ts {
+			rc.keys[i] = t.Key()
+		}
+		uTuples[r.Name()] = rc
 	}
-	uTuples, uDomain := universeCaches(sch, o.Universe)
-	shards, respCapped, err := enumerateRootShards(sch, o, init, uTuples, uDomain)
-	if err != nil {
-		return nil, respCapped, err
+	dom := u.ActiveDomain()
+	if dom == nil {
+		dom = []instance.Value{}
 	}
-	ids := make([]ShardID, len(shards))
-	for i, sh := range shards {
-		ids[i] = ShardID{Index: i, Key: sh.sortKey, WholeAccess: sh.wholeAccess}
-	}
-	return ids, respCapped, nil
+	return uTuples, dom
 }
 
 // shardSubset validates and canonicalizes Options.Shards against an

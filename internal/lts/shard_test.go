@@ -223,7 +223,7 @@ func TestShardSubsetValidation(t *testing.T) {
 	sub := opts
 	sub.Shards = want
 	var got []int
-	_, err = ExploreSharded(s, sub,
+	_, err = ExploreSharded(s, sub, nil,
 		func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) { return true, nil },
 		func(shard int) Visitor {
 			got = append(got, shard)

@@ -1,15 +1,18 @@
 package lts
 
 // Concurrent companion tables for solvers built on ExploreSharded: the
-// striped dominance memo and the lowest-shard witness box. Both the AccLTL
+// striped dominance memo, the lowest-shard witness box, and the search prep
+// a persistent memo carries from planning into every round. Both the AccLTL
 // bounded-model solver and the automaton emptiness check need exactly these
-// two structures (their keys differ, their semantics do not), so they live
-// here once instead of as twins in each engine.
+// structures (their keys differ, their semantics do not), so they live here
+// once instead of as twins in each engine.
 
 import (
+	"context"
 	"sync"
 
 	"accltl/accesscheck/cachetier"
+	"accltl/internal/schema"
 )
 
 const shardTableStripes = 64
@@ -142,4 +145,71 @@ func (w *WitnessBox[T]) Take() (T, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.val, w.has
+}
+
+// SearchPrep is one check's exploration setup carried across calls: the
+// exploration options and depth bound an engine derives from the check (the
+// witness universe and binding pool are the expensive part), and the
+// root-shard Plan those options enumerate. Planning a check and then
+// searching it through one SearchPrep, in any number of rounds, derives the
+// options once and enumerates the partition once. The zero value is ready
+// to use, and a nil *SearchPrep carries nothing: every call derives or
+// enumerates afresh.
+type SearchPrep struct {
+	mu      sync.Mutex
+	derived bool
+	opts    Options
+	depth   int
+	plan    Plan
+}
+
+// Options returns the carried exploration options with ctx as their
+// Context, running derive until one call succeeds. derive runs without the
+// lock held; when two first calls race, both derive and the first to
+// finish is kept, so every caller walks the options the plan is built from.
+func (p *SearchPrep) Options(ctx context.Context, derive func() (Options, int, error)) (Options, int, error) {
+	if p == nil {
+		return derive()
+	}
+	p.mu.Lock()
+	derived, o, depth := p.derived, p.opts, p.depth
+	p.mu.Unlock()
+	if !derived {
+		var err error
+		if o, depth, err = derive(); err != nil {
+			return Options{}, 0, err
+		}
+		o.Context = nil
+		p.mu.Lock()
+		if p.derived {
+			o, depth = p.opts, p.depth
+		} else {
+			p.opts, p.depth, p.derived = o, depth, true
+		}
+		p.mu.Unlock()
+	}
+	o.Context = ctx
+	return o, depth, nil
+}
+
+// Plan is the carried root-shard plan for ExploreSharded: built by the
+// first Shards call or sharded exploration, walked by every later one. Nil
+// for a nil SearchPrep, so the exploration enumerates a fresh plan.
+func (p *SearchPrep) Plan() *Plan {
+	if p == nil {
+		return nil
+	}
+	return &p.plan
+}
+
+// Shards is the package Shards through the carried plan: it enumerates only
+// when the plan is not built yet.
+func (p *SearchPrep) Shards(sch *schema.Schema, opts Options) ([]ShardID, bool, error) {
+	if p == nil {
+		return Shards(sch, opts)
+	}
+	if err := p.plan.Build(sch, opts); err != nil {
+		return nil, false, err
+	}
+	return p.plan.Shards(), p.plan.ResponsesCapped(), nil
 }
