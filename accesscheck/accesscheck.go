@@ -317,12 +317,12 @@ func WithMaxResponseChoices(n int) Option {
 }
 
 // WithParallelism sets the number of concurrent exploration walkers the
-// search may use. n = 1 (the default) is the serial engine, bit-for-bit the
-// same search as before the knob existed; n = 0 selects
-// runtime.GOMAXPROCS(0); n > 1 shards the exploration over the root
-// branching with one mutate-and-undo walker per goroutine, a single shared
-// path budget (WithMaxPaths stays a global cap with exact semantics) and
-// early cancellation as soon as any walker finds a witness.
+// search may use. Every search is sharded over the root branching; n = 1
+// (the default) walks the shards one after another on a single walker,
+// n = 0 selects runtime.GOMAXPROCS(0), and n > 1 runs one mutate-and-undo
+// walker per goroutine with a single shared path budget (WithMaxPaths
+// stays a global cap with exact semantics) and early cancellation as soon
+// as any walker finds a witness.
 //
 // Verdicts of searches that run to exhaustion — Result.Truncated false —
 // are identical for every parallelism, which is why the result cache treats
@@ -388,7 +388,7 @@ func WithAnytimeChunk(n int) Option {
 }
 
 // WithNegativeCache arms the checker with a Bloom negative cache of
-// roughly the given total bits fronting the parallel engines' dominance
+// roughly the given total bits fronting the search engines' dominance
 // memos: a (configuration, obligation/state-set) key the filter has
 // definitely never seen skips the memo's striped critical section
 // lock-free on first sight. Strictly an execution accelerator — a filter
@@ -397,8 +397,8 @@ func WithAnytimeChunk(n int) Option {
 // tests pin this), and like WithParallelism it is excluded from
 // Fingerprint. 0 disables (the default); sizing guide: ~10 bits per
 // distinct search state visited keeps the false-positive rate near 1%.
-// The serial engine ignores it. Long-lived callers sharing one filter
-// set across many checkers use WithNegativeCacheStore instead.
+// Long-lived callers sharing one filter set across many checkers use
+// WithNegativeCacheStore instead.
 func WithNegativeCache(bits int) Option {
 	return func(c *Checker) error {
 		if bits < 0 {

@@ -44,12 +44,12 @@ type ShardResult struct {
 }
 
 // Merge folds the partial results of a full partition cover into one
-// result, with the same resolution rules the in-process sharded engine
+// result, with the same resolution rules the in-process search
 // applies across walkers:
 //
 //   - any witness settles the verdict as satisfiable; among several, the
 //     one from the lowest canonical shard index wins (the deterministic
-//     preference of the serial order);
+//     preference of a single-walker run);
 //   - an unsatisfiable merge ORs the exactness qualifiers — the merged
 //     verdict is exact only if every slice ran exhaustively;
 //   - a satisfiable merge clears them — a verified witness is definitive

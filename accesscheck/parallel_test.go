@@ -120,3 +120,54 @@ func TestWithParallelismZeroMeansGOMAXPROCS(t *testing.T) {
 		t.Errorf("auto parallelism (GOMAXPROCS=%d) changed the verdict: %+v", runtime.GOMAXPROCS(0), res)
 	}
 }
+
+// TestCheckAnytimeShardedAgreesWithCheck: on one checker at the default
+// parallelism, Check and a single uninterrupted CheckAnytime round run the
+// same search, so they must return the same verdict, the same witness and
+// the same honesty flags.
+func TestCheckAnytimeShardedAgreesWithCheck(t *testing.T) {
+	sch, err := accesscheck.ParseSchema(parRelations, parMethods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, src string
+		opts      []accesscheck.Option
+	}{
+		{"sat", parSatFormula, nil},
+		{"unsat", parUnsatFormula, nil},
+		{"sat/automaton", parSatFormula, []accesscheck.Option{accesscheck.WithEngine(accesscheck.EngineAutomaton)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := accesscheck.ParseFormula(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chk, err := accesscheck.NewChecker(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := chk.Check(context.Background(), sch, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			anytime, _, err := chk.CheckAnytime(context.Background(), sch, f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			witness := func(r *accesscheck.Result) string {
+				if r.Witness == nil {
+					return ""
+				}
+				return r.Witness.String()
+			}
+			if plain.Satisfiable != anytime.Satisfiable || witness(plain) != witness(anytime) ||
+				plain.Truncated != anytime.Truncated || plain.ResponsesCapped != anytime.ResponsesCapped {
+				t.Errorf("Check: sat=%v witness %q trunc=%v caps=%v; CheckAnytime: sat=%v witness %q trunc=%v caps=%v",
+					plain.Satisfiable, witness(plain), plain.Truncated, plain.ResponsesCapped,
+					anytime.Satisfiable, witness(anytime), anytime.Truncated, anytime.ResponsesCapped)
+			}
+		})
+	}
+}

@@ -8,7 +8,7 @@ package server
 // whose shard-keyed LRU already holds it), dispatches one wire shard per
 // owner under the request's remaining budget with retries and hedging, and
 // merges the partial verdicts with the witness/error-priority semantics
-// the in-process sharded engine pins.
+// the in-process search pins.
 //
 // Fallbacks keep the surface total: a check whose plan fails or has fewer
 // than two slices, or a fabric with one healthy worker, forwards the whole

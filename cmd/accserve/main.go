@@ -14,7 +14,7 @@
 // (evicted and shutdown-resident entries are written behind, and a
 // restarted process with the same directory serves them without
 // re-solving); -negative-cache-bits arms a process-wide Bloom negative
-// cache that lets the parallel engines skip dominance-memo locks for
+// cache that lets the search engines skip dominance-memo locks for
 // never-seen states. All three are observable under /metrics
 // (accserve_cache_tier_*, accserve_cache_hit_ratio{tier=...}).
 //

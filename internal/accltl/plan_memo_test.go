@@ -30,9 +30,10 @@ func sameSolve(t *testing.T, what string, got, want SolveResult, withPaths bool)
 }
 
 // TestShardedPlanThroughMemoMatchesFresh: PlanShards into a memo followed
-// by a solve through it — serial, sharded over the whole plan, or resumed
-// shard by shard — must give the memo-less results, and the memo must
-// enumerate the root partition exactly once for all of it.
+// by a solve through it — over the whole plan, or resumed shard by shard —
+// must give the memo-less results; a second whole-plan solve through the
+// now-warm memo must give the same answer with no more paths explored; and
+// the memo must enumerate the root partition exactly once for all of it.
 func TestShardedPlanThroughMemoMatchesFresh(t *testing.T) {
 	s := chainSchema(t)
 	formulas := map[string]Formula{
@@ -62,17 +63,16 @@ func TestShardedPlanThroughMemoMatchesFresh(t *testing.T) {
 					return o
 				}
 				// Memo-less references: the whole plan at W=1 (one walker,
-				// deterministic), the serial engine, and each shard alone.
+				// deterministic) and each shard alone.
 				wantWhole := mustSolve(t, f, withShards(base, all))
-				wantSerial := mustSolve(t, f, base)
 				wantRounds := make([]SolveResult, len(all))
 				for _, i := range all {
 					wantRounds[i] = mustSolve(t, f, withShards(base, []int{i}))
 				}
 
 				before := lts.PlanBuilds()
-				// Plan, then solve the whole plan, then the serial engine,
-				// all through one memo.
+				// Plan, then solve the whole plan cold, then again warm, all
+				// through one memo.
 				opts := base
 				opts.Memo = NewSolverMemo()
 				mplan, mcapped, err := PlanShards(f, opts)
@@ -82,8 +82,13 @@ func TestShardedPlanThroughMemoMatchesFresh(t *testing.T) {
 				if !reflect.DeepEqual(mplan, plan) || mcapped != capped {
 					t.Fatalf("plan through the memo differs from a fresh plan")
 				}
-				sameSolve(t, "whole plan", mustSolve(t, f, withShards(opts, all)), wantWhole, true)
-				sameSolve(t, "serial", mustSolve(t, f, opts), wantSerial, true)
+				cold := mustSolve(t, f, withShards(opts, all))
+				sameSolve(t, "whole plan", cold, wantWhole, true)
+				warm := mustSolve(t, f, opts)
+				sameSolve(t, "warm whole plan", warm, cold, false)
+				if warm.PathsExplored > cold.PathsExplored {
+					t.Errorf("warm whole plan explored %d paths, cold %d", warm.PathsExplored, cold.PathsExplored)
+				}
 
 				// A resumed chunked solve on a second memo: planned, then one
 				// shard per round until a witness settles the check.

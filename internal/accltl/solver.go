@@ -3,6 +3,7 @@ package accltl
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"accltl/accesscheck/cachetier"
 	"accltl/internal/access"
@@ -44,15 +45,15 @@ type SolveOptions struct {
 	DisableLTLPruning bool
 	// MaxPaths aborts after this many visited paths (0 = 2^22 default).
 	MaxPaths int
-	// Parallelism is the number of concurrent exploration walkers (0 or 1 =
-	// the serial engine, unchanged). W > 1 shards the search over the root
-	// branching (lts.ExploreSharded), with the solver's memo tables shared
-	// across walkers behind striped locks keyed by the instances'
-	// incremental Hash. Verdicts on searches that run to exhaustion are
-	// identical for every W; which witness a satisfiable search returns
-	// prefers the lowest shard in the deterministic sorted shard order but
-	// can vary with scheduling, and PathsExplored on early-stopped or
-	// capped searches is schedule-dependent.
+	// Parallelism is the number of concurrent walkers claiming root shards
+	// of the canonical partition (lts.ExploreSharded); 0 and 1 run a single
+	// walker over the shards in order. The solver's tables are shared across
+	// walkers behind striped locks keyed by the instances' incremental Hash.
+	// Verdicts on searches that run to exhaustion are identical for every
+	// W; a satisfiable search returns the witness of the lowest shard that
+	// finds one, which is deterministic at W ≤ 1 but can vary with
+	// scheduling above it, and PathsExplored on early-stopped or capped
+	// searches is schedule-dependent for W > 1.
 	Parallelism int
 	// Shards, when non-nil, restricts the search to the listed root shards
 	// of the canonical partition PlanShards enumerates (lts.Options.Shards
@@ -62,33 +63,30 @@ type SolveOptions struct {
 	// "satisfiable" verdicts are exact, "unsatisfiable" verdicts cover only
 	// the selected shards and must be merged across a full cover of the
 	// partition — the contract the distributed check fabric's workers build
-	// on. Setting Shards routes through the sharded engine even at
-	// Parallelism ≤ 1.
+	// on.
 	Shards []int
 	// Memo, when non-nil, carries the solver's shared tables (obligation
 	// interner, progression cache, dominance memo) across calls so a
 	// resumed search starts warm instead of cold (progressive deepening),
 	// plus the search prep and root-shard plan, so PlanShards followed by
-	// any number of searches enumerates the partition once. The serial
-	// engine reuses only the prep. The tables are only valid for repeat
-	// searches and plans of the *same* formula under the same options —
-	// reuse across different checks is unsound and unchecked. A search that
-	// ends early (witness, cap, error) scrubs the commitments of its
-	// unfinished shard walks before returning, so the surviving entries are
-	// safe to prune against in a later round; see NewSolverMemo.
+	// any number of searches enumerates the partition once. The tables are
+	// only valid for repeat searches and plans of the *same* formula under
+	// the same options — reuse across different checks is unsound and
+	// unchecked. A search that ends early (witness, cap, error) scrubs the
+	// commitments of its unfinished shard walks before returning, so the
+	// surviving entries are safe to prune against in a later round; see
+	// NewSolverMemo. Without a Memo every search builds fresh tables.
 	Memo *SolverMemo
-	// Negative, when non-nil, fronts the sharded engine's dominance memo
-	// with a shared Bloom negative cache: a key the filter has definitely
-	// never seen skips the memo's critical section lock-free. Strictly an
+	// Negative, when non-nil, fronts the search's dominance memo with a
+	// shared Bloom negative cache: a key the filter has definitely never
+	// seen skips the memo's critical section lock-free. Strictly an
 	// execution accelerator — a filter positive only routes to the
 	// authoritative memo, so verdicts are bit-for-bit identical with the
 	// filter on or off. Unlike Memo, the filter is safe to share across
 	// different formulas and requests (collisions cost lock acquisitions,
 	// never correctness), which is how the server keeps it warm
 	// process-wide. Ignored when Memo is set — a persistent memo carries
-	// its own arming from construction (see NewSolverMemoNeg). The serial
-	// engine (Parallelism ≤ 1, no Shards) has no shared memo and ignores
-	// it entirely.
+	// its own arming from construction (see NewSolverMemoNeg).
 	Negative *cachetier.NegativeCache
 }
 
@@ -117,10 +115,10 @@ type SolveResult struct {
 	ResponsesCapped bool
 	// CompletedShards lists, ascending, the canonical root shards whose
 	// walk ran to completion; TotalShards is the partition size the indexes
-	// refer to. Populated only by the sharded engine (Parallelism > 1 or
-	// Shards set), and meaningful even when an error is returned alongside
-	// the result — checkpoint/resume reads them off a deadline-expired
-	// search to decide what not to redo.
+	// refer to. Every search that expands the root sets both, at every
+	// parallelism, and they are meaningful even when an error is returned
+	// alongside the result — checkpoint/resume reads them off a
+	// deadline-expired search to decide what not to redo.
 	CompletedShards []int
 	TotalShards     int
 }
@@ -227,6 +225,34 @@ func defaultDepth(f Formula) int {
 	return d
 }
 
+// DefaultMaxPaths is the path cap a search uses when its options leave
+// MaxPaths zero.
+const DefaultMaxPaths = 1 << 22
+
+// FreshBindingValues is the fresh binding reserve: one value per datatype
+// some method of sch takes as input, so methods can fire even when the
+// witness universe has no values of the needed type. Both the solver and
+// the automaton emptiness search add it to their binding pools.
+func FreshBindingValues(sch *schema.Schema) []instance.Value {
+	need := make(map[schema.Type]bool)
+	for _, m := range sch.Methods() {
+		for _, ty := range m.InputTypes() {
+			need[ty] = true
+		}
+	}
+	var out []instance.Value
+	if need[schema.TypeInt] {
+		out = append(out, instance.Int(987654321))
+	}
+	if need[schema.TypeString] {
+		out = append(out, instance.Str("_freshbind"))
+	}
+	if need[schema.TypeBool] {
+		out = append(out, instance.Bool(true), instance.Bool(false))
+	}
+	return out
+}
+
 // searchLTSOptions assembles the exploration options a bounded search of f
 // under opts uses: the depth bound, the witness universe (formula-derived
 // unless overridden, unioned with the initial instance), the path cap and
@@ -258,29 +284,13 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 
 	maxPaths := opts.MaxPaths
 	if maxPaths == 0 {
-		maxPaths = 1 << 22
+		maxPaths = DefaultMaxPaths
 	}
 
-	// Binding pool: formula constants plus one fresh value per datatype any
-	// method takes as input, so methods can fire even when the witness
-	// universe has no values of the needed type (e.g. formulas whose only
-	// sentences are 0-ary IsBind atoms).
+	// Binding pool: formula constants plus the fresh binding reserve (e.g.
+	// for formulas whose only sentences are 0-ary IsBind atoms).
 	extraVals := fo.Constants(sentenceConj(Sentences(f)))
-	needType := make(map[schema.Type]bool)
-	for _, m := range opts.Schema.Methods() {
-		for _, ty := range m.InputTypes() {
-			needType[ty] = true
-		}
-	}
-	if needType[schema.TypeInt] {
-		extraVals = append(extraVals, instance.Int(987654321))
-	}
-	if needType[schema.TypeString] {
-		extraVals = append(extraVals, instance.Str("_freshbind"))
-	}
-	if needType[schema.TypeBool] {
-		extraVals = append(extraVals, instance.Bool(true), instance.Bool(false))
-	}
+	extraVals = append(extraVals, FreshBindingValues(opts.Schema)...)
 
 	return lts.Options{
 		Context:            opts.Context,
@@ -365,160 +375,165 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		return SolveResult{}, err
 	}
 
-	if opts.Parallelism > 1 || opts.Shards != nil {
-		ltsOpts.Parallelism = opts.Parallelism
-		ltsOpts.Shards = opts.Shards
-		return parallelBoundedSearch(f, opts, voc, skeleton, letters, ltsOpts, depth)
-	}
+	ltsOpts.Parallelism = opts.Parallelism
+	ltsOpts.Shards = opts.Shards
 
 	res := SolveResult{Depth: depth}
-	type obState struct {
-		ob  ltl.Formula
-		id  int
-		len int
-	}
-	// Obligations are interned: id ↔ canonical rendering, with obList
-	// holding one representative formula per id. Progression results are
-	// cached per (obligation id, letter bitmask), so on the hot path a
-	// visited node neither re-runs ltl.Step nor re-renders a formula
-	// string — String() happens once per *distinct* obligation, not once
-	// per node. The bitmask fast path carries one bit per sentence and so
-	// needs len(letters) ≤ 64; larger formulas fall back to the direct
-	// route below (still correct, just per-node work).
-	obIDs := map[string]int{}
-	var obList []ltl.Formula
-	intern := func(f ltl.Formula) (int, ltl.Formula) {
-		s := f.String()
-		if id, ok := obIDs[s]; ok {
-			return id, obList[id]
-		}
-		id := len(obList)
-		obIDs[s] = id
-		obList = append(obList, f)
-		return id, f
-	}
-	type progKey struct {
-		ob     int
-		letter uint64
-	}
-	type progVal struct {
-		next   ltl.Formula
-		nextID int
-		accept bool
-	}
-	progCache := map[progKey]progVal{}
+	// The bitmask fast path carries one bit per sentence and so needs
+	// len(letters) ≤ 64; larger formulas fall back to map letters (still
+	// correct, just per-node work).
 	useMask := len(letters) <= 64
-	skelID, skeleton := intern(skeleton)
-	// Obligation per active prefix, keyed by path length; exploration is
-	// DFS so a stack mirrors the prefix chain.
-	stack := []obState{{ob: skeleton, id: skelID, len: 0}}
-	// Memoization: satisfiability from a node depends only on the revealed
-	// configuration and the residual obligation, not on the history. Prune
-	// when the same (config, obligation) pair was already explored with at
-	// least as much depth budget remaining. The configuration side of the
-	// key is the instance's O(1) incremental Hash, the obligation side its
-	// interned id — no canonical string is rebuilt per node.
-	type memoKey struct {
-		conf instance.Hash
-		ob   int
+	tables := opts.Memo
+	persist := tables != nil
+	plan := tables.searchPrep().Plan()
+	if tables == nil {
+		tables = NewSolverMemoNeg(opts.Negative)
 	}
-	seen := make(map[memoKey]int)
-	rep, searchErr := lts.Explore(opts.Schema, ltsOpts, func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
-		res.PathsExplored++
-		if p.Len() == 0 {
-			return true, nil
+	in, prog, memo := tables.in, tables.prog, tables.memo
+	wit := &lts.WitnessBox[*access.Path]{}
+	skelID, skeleton := in.intern(skeleton)
+
+	// Spine registry for persistent memos: every shard walk's stack is kept
+	// reachable so unfinished walks can be scrubbed after the search joins.
+	var (
+		spineMu sync.Mutex
+		spines  []*solverSpine
+	)
+
+	factory := func(shard int) lts.Visitor {
+		// Per-shard obligation stack: the shard's DFS starts at depth 1, so
+		// the root obligation (the whole skeleton, length 0) seeds it.
+		sp := &solverSpine{shard: shard, stack: []obState{{ob: skeleton, id: skelID, len: 0}}}
+		if persist {
+			spineMu.Lock()
+			spines = append(spines, sp)
+			spineMu.Unlock()
 		}
-		// Pop stale obligations (DFS backtracked).
-		for len(stack) > 0 && stack[len(stack)-1].len >= p.Len() {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			return false, fmt.Errorf("accltl: obligation stack underflow")
-		}
-		cur := stack[len(stack)-1].ob
-		curID := stack[len(stack)-1].id
-		// Evaluate the letter on the last transition only: the explorer
-		// already maintains the pre/post configurations incrementally, so
-		// no per-node materialization of the whole path's transitions (an
-		// O(depth²) habit) happens here.
-		last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-		var next ltl.Formula
-		var nextID int
-		var accept bool
-		if useMask {
-			mask, err := evalLetterMask(letters, structureOf(last, voc))
-			if err != nil {
-				return false, err
+		return func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
+			stack := sp.stack
+			defer func() { sp.stack = stack }()
+			// Pop stale obligations (DFS backtracked).
+			for len(stack) > 0 && stack[len(stack)-1].len >= p.Len() {
+				stack = stack[:len(stack)-1]
 			}
-			pk := progKey{ob: curID, letter: mask}
-			pv, ok := progCache[pk]
-			if !ok {
-				n, acc := ltl.Step(cur, letterFromMask(letters, mask))
-				pv.nextID, pv.next = intern(n)
-				pv.accept = acc
-				progCache[pk] = pv
+			if len(stack) == 0 {
+				return false, fmt.Errorf("accltl: obligation stack underflow")
 			}
-			next, nextID, accept = pv.next, pv.nextID, pv.accept
-		} else {
-			letter, err := evalLetter(letters, structureOf(last, voc))
-			if err != nil {
-				return false, err
+			cur := stack[len(stack)-1].ob
+			curID := stack[len(stack)-1].id
+			// Evaluate the letter on the last transition only: the explorer
+			// maintains the pre/post configurations incrementally, so no
+			// per-node materialization of the whole path's transitions
+			// happens here.
+			last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
+			var next ltl.Formula
+			var nextID int
+			var accept bool
+			if useMask {
+				mask, err := evalLetterMask(letters, structureOf(last, voc))
+				if err != nil {
+					return false, err
+				}
+				pk := progKey{ob: curID, letter: mask}
+				pv, ok := prog.get(pk)
+				if !ok {
+					n, acc := ltl.Step(cur, letterFromMask(letters, mask))
+					pv.nextID, pv.next = in.intern(n)
+					pv.accept = acc
+					prog.put(pk, pv)
+				}
+				next, nextID, accept = pv.next, pv.nextID, pv.accept
+			} else {
+				letter, err := evalLetter(letters, structureOf(last, voc))
+				if err != nil {
+					return false, err
+				}
+				var n ltl.Formula
+				n, accept = ltl.Step(cur, letter)
+				nextID, next = in.intern(n)
 			}
-			var n ltl.Formula
-			n, accept = ltl.Step(cur, letter)
-			nextID, next = intern(n)
-		}
-		if accept {
-			res.Satisfiable = true
-			res.Witness = p.Clone()
-			return false, lts.ErrStop
-		}
-		if opts.DisableLTLPruning {
-			// Ablation: ignore the dead-obligation signal; re-check the
-			// whole formula directly at every prefix instead (this is the
-			// one place the full transition list is still materialized —
-			// deliberately, it is the slow baseline).
-			ts, err := p.Transitions(opts.Initial)
-			if err != nil {
-				return false, err
-			}
-			ok, err := Satisfied(f, ts, voc)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				res.Satisfiable = true
-				res.Witness = p.Clone()
+			if accept {
+				wit.Offer(shard, p.Clone())
 				return false, lts.ErrStop
 			}
-			stack = append(stack, obState{ob: next, id: nextID, len: p.Len()})
+			if opts.DisableLTLPruning {
+				// Ablation: ignore the dead-obligation signal; re-check the
+				// whole formula directly at every prefix instead (this is the
+				// one place the full transition list is still materialized —
+				// deliberately, it is the slow baseline).
+				ts, err := p.Transitions(opts.Initial)
+				if err != nil {
+					return false, err
+				}
+				ok, err := Satisfied(f, ts, voc)
+				if err != nil {
+					return false, err
+				}
+				if ok {
+					wit.Offer(shard, p.Clone())
+					return false, lts.ErrStop
+				}
+				stack = append(stack, obState{ob: next, id: nextID, len: p.Len()})
+				return true, nil
+			}
+			if t, isT := next.(ltl.Truth); isT && !bool(t) {
+				return false, nil // dead obligation: prune
+			}
+			// Memoization: satisfiability from a node depends only on the
+			// revealed configuration and the residual obligation, not on the
+			// history, so a (configuration, obligation) pair already searched
+			// with at least as much depth budget remaining is pruned. Under
+			// idempotence the future also depends on the responses seen so
+			// far, so the memo would be unsound there.
+			var mk solverMemoKey
+			recorded := false
+			if !opts.IdempotentOnly {
+				mk = solverMemoKey{conf: conf.Hash(), ob: nextID}
+				if memo.DominatedOrRecord(mk, depth-p.Len()) {
+					return false, nil // dominated: already searched from here
+				}
+				recorded = true
+			}
+			stack = append(stack, obState{ob: next, id: nextID, len: p.Len(), key: mk, recorded: recorded})
 			return true, nil
 		}
-		if t, isT := next.(ltl.Truth); isT && !bool(t) {
-			return false, nil // dead obligation: prune
+	}
+	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
+
+	rep, searchErr := lts.ExploreSharded(opts.Schema, ltsOpts, plan, root, factory)
+	res.PathsExplored = rep.Paths
+	res.CompletedShards = rep.CompletedShards
+	res.TotalShards = rep.TotalShards
+	if persist {
+		// Scrub the persistent memo before anything is returned: frames
+		// still on the stack of a shard walk that did not complete are
+		// subtrees that were entered but never finished, and their pre-order
+		// commitments must not prune a resumed round. ExploreSharded has
+		// joined all walkers, so the stacks are quiescent.
+		done := make(map[int]bool, len(rep.CompletedShards))
+		for _, s := range rep.CompletedShards {
+			done[s] = true
 		}
-		// Under idempotence the future also depends on the responses seen
-		// so far, so (config, obligation) memoization would be unsound.
-		if !opts.IdempotentOnly {
-			remaining := depth - p.Len()
-			key := memoKey{conf: conf.Hash(), ob: nextID}
-			if prev, ok := seen[key]; ok && prev >= remaining {
-				return false, nil // dominated: already searched from here
+		for _, sp := range spines {
+			if done[sp.shard] {
+				continue
 			}
-			seen[key] = remaining
+			for i := range sp.stack {
+				if sp.stack[i].recorded {
+					memo.Remove(sp.stack[i].key)
+				}
+			}
 		}
-		stack = append(stack, obState{ob: next, id: nextID, len: p.Len()})
-		return true, nil
-	})
-	if searchErr != nil {
-		return res, searchErr
 	}
-	if !res.Satisfiable {
-		res.Truncated = rep.PathsCapped
-		res.ResponsesCapped = rep.ResponsesCapped
-	}
-	if res.Satisfiable {
-		// Sanity: the witness must pass the direct semantics.
+	if w, found := wit.Take(); found {
+		// A found witness settles the question even when another walker
+		// errored in the race window before the early-cancel broadcast
+		// landed (the same resolution the branching checker uses): the
+		// witness is validated against the direct semantics below, so the
+		// verdict it carries does not depend on the failed walker's search.
+		// Without this, satisfiable-vs-error would be schedule-dependent.
+		res.Satisfiable = true
+		res.Witness = w
 		ts, err := res.Witness.Transitions(opts.Initial)
 		if err != nil {
 			return res, err
@@ -530,7 +545,13 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		if !ok {
 			return res, fmt.Errorf("accltl: internal error: witness rejected by direct semantics")
 		}
+		return res, nil
 	}
+	if searchErr != nil {
+		return res, searchErr
+	}
+	res.Truncated = rep.PathsCapped
+	res.ResponsesCapped = rep.ResponsesCapped
 	return res, nil
 }
 

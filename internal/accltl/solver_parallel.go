@@ -1,10 +1,10 @@
 package accltl
 
-// Parallel bounded-model search: the sharded counterpart of the serial loop
-// in boundedSearch. Each root shard gets its own visitor with its own
-// obligation stack (obligations mirror the DFS prefix chain, so they can
-// never be shared), while the three tables that make walkers share work
-// instead of duplicating it are global:
+// Shared tables of the bounded-model search. boundedSearch shards the search
+// over the root branching (lts.ExploreSharded); each root shard gets its own
+// visitor with its own obligation stack (obligations mirror the DFS prefix
+// chain, so they can never be shared), while the three tables that make
+// walkers share work instead of duplicating it are global:
 //
 //   - the obligation interner (mutex; hit once per *distinct* obligation);
 //   - the progression cache (obligation id, letter bitmask) → next, striped;
@@ -12,21 +12,19 @@ package accltl
 //     striped by the hash so walkers exploring overlapping configuration
 //     spaces prune against each other's work.
 //
-// Sharing the memo is sound for exactly the reason the serial memo is: an
-// entry means "a search from this (configuration, obligation) with at least
-// this much depth budget was committed to", and verdicts are only produced
-// by searches that ran to completion (errors and context expiries surface
-// as errors, caps surface as Truncated). It does make PathsExplored
-// schedule-dependent — whether a walker reaches a node before or after the
-// dominating entry lands decides whether the node expands — which is why
-// only verdicts, not path counts, are pinned across W.
+// Sharing the memo is sound because an entry means "a search from this
+// (configuration, obligation) with at least this much depth budget was
+// committed to", and verdicts are only produced by searches that ran to
+// completion (errors and context expiries surface as errors, caps surface
+// as Truncated). It does make PathsExplored schedule-dependent above one
+// walker — whether a walker reaches a node before or after the dominating
+// entry lands decides whether the node expands — which is why only
+// verdicts, not path counts, are pinned across W.
 
 import (
-	"fmt"
 	"sync"
 
 	"accltl/accesscheck/cachetier"
-	"accltl/internal/access"
 	"accltl/internal/instance"
 	"accltl/internal/ltl"
 	"accltl/internal/lts"
@@ -79,16 +77,10 @@ type progVal struct {
 	accept bool
 }
 
+// progTable is the striped progression cache. A stripe's map is made on
+// its first put, so a small search pays only for the stripes it touches.
 type progTable struct {
 	stripes [solverStripes]progStripe
-}
-
-func newProgTable() *progTable {
-	t := &progTable{}
-	for i := range t.stripes {
-		t.stripes[i].m = make(map[progKey]progVal)
-	}
-	return t
 }
 
 func (t *progTable) stripe(k progKey) *progStripe {
@@ -107,6 +99,9 @@ func (t *progTable) get(k progKey) (progVal, bool) {
 func (t *progTable) put(k progKey, v progVal) {
 	st := t.stripe(k)
 	st.mu.Lock()
+	if st.m == nil {
+		st.m = make(map[progKey]progVal)
+	}
 	st.m[k] = v
 	st.mu.Unlock()
 }
@@ -118,7 +113,7 @@ type solverMemoKey struct {
 	ob   int
 }
 
-// obState mirrors the serial solver's per-prefix obligation bookkeeping.
+// obState is the per-prefix obligation bookkeeping of one shard walk.
 // key/recorded remember the dominance-memo entry the push committed, so a
 // persistent-memo search can scrub the commitments of a walk that was cut
 // short (see SolverMemo).
@@ -142,7 +137,7 @@ type solverSpine struct {
 	stack []obState
 }
 
-// SolverMemo carries the sharded solver's shared tables across calls, so a
+// SolverMemo carries the solver's shared tables across calls, so a
 // budget-sliced search resumes warm: the obligation interner and progression
 // cache are pure (always reusable), and the dominance memo is kept sound
 // across rounds by scrubbing unfinished walks' commitments after every
@@ -175,7 +170,7 @@ func (m *SolverMemo) searchPrep() *lts.SearchPrep {
 func NewSolverMemo() *SolverMemo {
 	return &SolverMemo{
 		in:   newObInterner(),
-		prog: newProgTable(),
+		prog: &progTable{},
 		memo: lts.NewDominanceMemo[solverMemoKey](func(k solverMemoKey) uint64 { return k.conf.A }),
 	}
 }
@@ -200,181 +195,4 @@ func NewSolverMemoNeg(neg *cachetier.NegativeCache) *SolverMemo {
 func solverNegHash(k solverMemoKey) (uint64, uint64) {
 	ob := (uint64(k.ob) + 1) * 0x9e3779b97f4a7c15
 	return k.conf.A ^ ob, k.conf.B ^ (ob<<32 | ob>>32)
-}
-
-// parallelBoundedSearch runs the sharded search. skeleton is already in
-// NNF; letters is the sentence→proposition table; ltsOpts carries the
-// exploration options including Parallelism > 1.
-func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleton ltl.Formula, letters []letterEntry, ltsOpts lts.Options, depth int) (SolveResult, error) {
-	res := SolveResult{Depth: depth}
-	useMask := len(letters) <= 64
-	tables := opts.Memo
-	persist := tables != nil
-	plan := tables.searchPrep().Plan()
-	if tables == nil {
-		tables = NewSolverMemoNeg(opts.Negative)
-	}
-	in, prog, memo := tables.in, tables.prog, tables.memo
-	wit := &lts.WitnessBox[*access.Path]{}
-	skelID, skeleton := in.intern(skeleton)
-
-	// Spine registry for persistent memos: every shard walk's stack is kept
-	// reachable so unfinished walks can be scrubbed after the search joins.
-	var (
-		spineMu sync.Mutex
-		spines  []*solverSpine
-	)
-
-	factory := func(shard int) lts.Visitor {
-		// Per-shard obligation stack: the shard's DFS starts at depth 1, so
-		// the root obligation (the whole skeleton, length 0) seeds it.
-		//
-		// LOCKSTEP: the visitor body below is the serial boundedSearch
-		// visitor with the tables swapped for their concurrent twins. The
-		// serial body stays separate on purpose — it must remain bit-for-bit
-		// the pre-parallelism engine (alloc pins, golden traces) with no
-		// table indirection in its hot loop — so any change to the
-		// progression / accept / prune / memo sequence in solver.go must be
-		// mirrored here, and vice versa; the W-grid equivalence tests are
-		// the tripwire.
-		sp := &solverSpine{shard: shard, stack: []obState{{ob: skeleton, id: skelID, len: 0}}}
-		if persist {
-			spineMu.Lock()
-			spines = append(spines, sp)
-			spineMu.Unlock()
-		}
-		return func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
-			stack := sp.stack
-			defer func() { sp.stack = stack }()
-			for len(stack) > 0 && stack[len(stack)-1].len >= p.Len() {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) == 0 {
-				return false, fmt.Errorf("accltl: obligation stack underflow")
-			}
-			cur := stack[len(stack)-1].ob
-			curID := stack[len(stack)-1].id
-			last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-			var next ltl.Formula
-			var nextID int
-			var accept bool
-			if useMask {
-				mask, err := evalLetterMask(letters, structureOf(last, voc))
-				if err != nil {
-					return false, err
-				}
-				pk := progKey{ob: curID, letter: mask}
-				pv, ok := prog.get(pk)
-				if !ok {
-					n, acc := ltl.Step(cur, letterFromMask(letters, mask))
-					pv.nextID, pv.next = in.intern(n)
-					pv.accept = acc
-					prog.put(pk, pv)
-				}
-				next, nextID, accept = pv.next, pv.nextID, pv.accept
-			} else {
-				letter, err := evalLetter(letters, structureOf(last, voc))
-				if err != nil {
-					return false, err
-				}
-				var n ltl.Formula
-				n, accept = ltl.Step(cur, letter)
-				nextID, next = in.intern(n)
-			}
-			if accept {
-				wit.Offer(shard, p.Clone())
-				return false, lts.ErrStop
-			}
-			if opts.DisableLTLPruning {
-				// Ablation parity with the serial engine: re-check the whole
-				// formula directly at every prefix.
-				ts, err := p.Transitions(opts.Initial)
-				if err != nil {
-					return false, err
-				}
-				ok, err := Satisfied(f, ts, voc)
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					wit.Offer(shard, p.Clone())
-					return false, lts.ErrStop
-				}
-				stack = append(stack, obState{ob: next, id: nextID, len: p.Len()})
-				return true, nil
-			}
-			if t, isT := next.(ltl.Truth); isT && !bool(t) {
-				return false, nil // dead obligation: prune
-			}
-			// Under idempotence the future also depends on the responses seen
-			// so far, so (config, obligation) memoization would be unsound —
-			// exactly as in the serial engine.
-			var mk solverMemoKey
-			recorded := false
-			if !opts.IdempotentOnly {
-				mk = solverMemoKey{conf: conf.Hash(), ob: nextID}
-				if memo.DominatedOrRecord(mk, depth-p.Len()) {
-					return false, nil
-				}
-				recorded = true
-			}
-			stack = append(stack, obState{ob: next, id: nextID, len: p.Len(), key: mk, recorded: recorded})
-			return true, nil
-		}
-	}
-	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
-
-	rep, searchErr := lts.ExploreSharded(opts.Schema, ltsOpts, plan, root, factory)
-	res.PathsExplored = rep.Paths
-	res.CompletedShards = rep.CompletedShards
-	res.TotalShards = rep.TotalShards
-	if persist {
-		// Scrub the persistent memo before anything is returned: frames
-		// still on the stack of a shard walk that did not complete are
-		// subtrees that were entered but never finished, and their pre-order
-		// commitments must not prune a resumed round. ExploreSharded has
-		// joined all walkers, so the stacks are quiescent.
-		done := make(map[int]bool, len(rep.CompletedShards))
-		for _, s := range rep.CompletedShards {
-			done[s] = true
-		}
-		for _, sp := range spines {
-			if done[sp.shard] {
-				continue
-			}
-			for i := range sp.stack {
-				if sp.stack[i].recorded {
-					memo.Remove(sp.stack[i].key)
-				}
-			}
-		}
-	}
-	if w, found := wit.Take(); found {
-		// A found witness settles the question even when another walker
-		// errored in the race window before the early-cancel broadcast
-		// landed (the same resolution the branching checker uses): the
-		// witness is validated against the direct semantics below, so the
-		// verdict it carries does not depend on the failed walker's search.
-		// Without this, satisfiable-vs-error would be schedule-dependent.
-		res.Satisfiable = true
-		res.Witness = w
-		ts, err := res.Witness.Transitions(opts.Initial)
-		if err != nil {
-			return res, err
-		}
-		ok, err := Satisfied(f, ts, voc)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, fmt.Errorf("accltl: internal error: witness rejected by direct semantics")
-		}
-		return res, nil
-	}
-	if searchErr != nil {
-		return res, searchErr
-	}
-	res.Truncated = rep.PathsCapped
-	res.ResponsesCapped = rep.ResponsesCapped
-	return res, nil
 }

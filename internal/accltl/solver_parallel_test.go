@@ -7,13 +7,75 @@ import (
 	"time"
 )
 
+// frozenSolve is one grid cell's answer from the serial bounded search this
+// package ran before the sharded search became its only engine, recorded
+// as a literal so the single-walker search stays pinned to it.
+type frozenSolve struct {
+	sat, truncated, respCapped bool
+	// paths is PathsExplored, pinned on unsatisfiable cells only: a
+	// satisfiable search stops at its first witness, and the serial DFS
+	// and the shard order reach different first witnesses.
+	paths int
+}
+
+// serialGridAnswers holds the serial engine's answers over the grid of
+// TestSolveParallelMatchesSerialAcrossGrid, keyed "formula/options".
+var serialGridAnswers = map[string]frozenSolve{
+	"bind-then/plain":               {true, false, false, 0},
+	"bind-then/grounded":            {false, false, false, 3},
+	"bind-then/idempotent":          {true, false, false, 0},
+	"bind-then/all-exact":           {true, false, false, 0},
+	"bind-then/exact-subset":        {true, false, false, 0},
+	"bind-then/resp-choices=1":      {true, false, false, 0},
+	"bind-then/paths-capped":        {true, false, false, 0},
+	"bind-then/grounded+idempotent": {false, false, false, 3},
+	"bind-then/no-pruning":          {true, false, false, 0},
+	"bind-then/exact+capped":        {true, false, false, 0},
+	"bind-then/tight-cap":           {true, false, false, 0},
+	"nested/plain":                  {true, false, false, 0},
+	"nested/grounded":               {false, false, false, 11},
+	"nested/idempotent":             {true, false, false, 0},
+	"nested/all-exact":              {true, false, false, 0},
+	"nested/exact-subset":           {true, false, false, 0},
+	"nested/resp-choices=1":         {true, false, false, 0},
+	"nested/paths-capped":           {true, false, false, 0},
+	"nested/grounded+idempotent":    {false, false, false, 11},
+	"nested/no-pruning":             {true, false, false, 0},
+	"nested/exact+capped":           {true, false, false, 0},
+	"nested/tight-cap":              {false, true, false, 5},
+	"reach-R1/plain":                {true, false, false, 0},
+	"reach-R1/grounded":             {false, false, false, 3},
+	"reach-R1/idempotent":           {true, false, false, 0},
+	"reach-R1/all-exact":            {true, false, false, 0},
+	"reach-R1/exact-subset":         {true, false, false, 0},
+	"reach-R1/resp-choices=1":       {true, false, false, 0},
+	"reach-R1/paths-capped":         {true, false, false, 0},
+	"reach-R1/grounded+idempotent":  {false, false, false, 4},
+	"reach-R1/no-pruning":           {true, false, false, 0},
+	"reach-R1/exact+capped":         {true, false, false, 0},
+	"reach-R1/tight-cap":            {true, false, false, 0},
+	"unsat/plain":                   {false, false, false, 9},
+	"unsat/grounded":                {false, false, false, 5},
+	"unsat/idempotent":              {false, false, false, 47},
+	"unsat/all-exact":               {false, false, false, 7},
+	"unsat/exact-subset":            {false, false, false, 7},
+	"unsat/resp-choices=1":          {false, false, false, 9},
+	"unsat/paths-capped":            {false, false, false, 9},
+	"unsat/grounded+idempotent":     {false, false, false, 5},
+	"unsat/no-pruning":              {false, false, false, 85},
+	"unsat/exact+capped":            {false, false, false, 7},
+	"unsat/tight-cap":               {false, true, false, 5},
+}
+
 // TestSolveParallelMatchesSerialAcrossGrid is the solver-level golden test
-// of the sharded engine: over the same formula × option grid the serial
-// equivalence test uses, every Parallelism must reproduce the serial
-// verdict whenever the search ran to exhaustion, and any witness must pass
-// the direct semantics. Path-capped searches visit a schedule-dependent
-// subset of the space, so — exactly as with the pruning ablation — verdicts
-// there may only diverge when a Truncated flag says so.
+// of the sharded search over a formula × option grid. At W=1 (one walker,
+// deterministic shard order) every cell must reproduce the serial engine's
+// frozen answer field for field: verdict, Truncated, ResponsesCapped, and
+// PathsExplored on unsatisfiable cells. Every W ∈ {2,4,8} must reproduce
+// the frozen verdict whenever the search ran to exhaustion; path-capped
+// searches visit a schedule-dependent subset of the space, so — exactly as
+// with the pruning ablation — verdicts there may only diverge when a
+// Truncated flag says so. Every witness must pass the direct semantics.
 func TestSolveParallelMatchesSerialAcrossGrid(t *testing.T) {
 	s := chainSchema(t)
 	formulas := map[string]Formula{
@@ -35,58 +97,68 @@ func TestSolveParallelMatchesSerialAcrossGrid(t *testing.T) {
 		{"paths-capped", SolveOptions{Schema: s, MaxDepth: 3, MaxPaths: 30}},
 		{"grounded+idempotent", SolveOptions{Schema: s, MaxDepth: 3, Grounded: true, IdempotentOnly: true}},
 		{"no-pruning", SolveOptions{Schema: s, MaxDepth: 3, DisableLTLPruning: true}},
+		{"exact+capped", SolveOptions{Schema: s, MaxDepth: 3, AllExact: true, MaxPaths: 30}},
+		{"tight-cap", SolveOptions{Schema: s, MaxDepth: 3, MaxPaths: 5}},
 	}
 	for fname, f := range formulas {
 		for _, g := range grid {
-			for _, w := range []int{2, 4, 8} {
+			want, ok := serialGridAnswers[fname+"/"+g.name]
+			if !ok {
+				t.Fatalf("no frozen answer for %s/%s", fname, g.name)
+			}
+			for _, w := range []int{1, 2, 4, 8} {
 				f, g, w := f, g, w
 				t.Run(fname+"/"+g.name+"/w="+string(rune('0'+w)), func(t *testing.T) {
-					serial, err := SolveZeroAcc(f, g.opts)
-					if err != nil {
-						t.Fatalf("serial: %v", err)
-					}
 					popts := g.opts
 					popts.Parallelism = w
-					par, err := SolveZeroAcc(f, popts)
+					res, err := SolveZeroAcc(f, popts)
 					if err != nil {
-						t.Fatalf("parallel: %v", err)
+						t.Fatal(err)
 					}
-					if par.Satisfiable != serial.Satisfiable {
-						if !par.Truncated && !serial.Truncated {
-							t.Fatalf("verdicts diverge without truncation: serial=%+v parallel=%+v", serial, par)
+					if res.Satisfiable {
+						// Witnesses may differ from the serial engine's; each
+						// must pass the direct semantics (the solver
+						// self-checks, assert anyway).
+						ts, err := res.Witness.Transitions(nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ok, err := Satisfied(f, ts, ZeroAcc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							t.Errorf("witness rejected by direct semantics: %s", res.Witness)
+						}
+					}
+					if w == 1 {
+						got := frozenSolve{res.Satisfiable, res.Truncated, res.ResponsesCapped, 0}
+						if !res.Satisfiable {
+							got.paths = res.PathsExplored
+						}
+						if got != want {
+							t.Errorf("W=1 answer %+v, serial engine answered %+v", got, want)
 						}
 						return
 					}
-					if par.Satisfiable {
-						// Witnesses may differ; both must pass the direct
-						// semantics (the solver self-checks, assert anyway).
-						for name, res := range map[string]SolveResult{"serial": serial, "parallel": par} {
-							ts, err := res.Witness.Transitions(nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							ok, err := Satisfied(f, ts, ZeroAcc)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !ok {
-								t.Errorf("%s: witness rejected by direct semantics: %s", name, res.Witness)
-							}
+					if res.Satisfiable != want.sat {
+						if !res.Truncated && !want.truncated {
+							t.Fatalf("verdicts diverge without truncation: frozen=%+v parallel=%+v", want, res)
 						}
 						return
 					}
 					// Unsat without a path cap: the honesty flags are
 					// properties of the exhaustive space and must agree.
-					if g.opts.MaxPaths == 0 {
-						if par.Truncated != serial.Truncated || par.ResponsesCapped != serial.ResponsesCapped {
-							t.Errorf("honesty flags diverge: serial trunc=%v caps=%v, parallel trunc=%v caps=%v",
-								serial.Truncated, serial.ResponsesCapped, par.Truncated, par.ResponsesCapped)
+					if !res.Satisfiable && g.opts.MaxPaths == 0 {
+						if res.Truncated != want.truncated || res.ResponsesCapped != want.respCapped {
+							t.Errorf("honesty flags diverge: frozen trunc=%v caps=%v, parallel trunc=%v caps=%v",
+								want.truncated, want.respCapped, res.Truncated, res.ResponsesCapped)
 						}
-						if par.PathsExplored != serial.PathsExplored && !g.opts.IdempotentOnly && g.name != "no-pruning" {
+						if res.PathsExplored != want.paths && !g.opts.IdempotentOnly && g.name != "no-pruning" {
 							// Shared-memo timing can change how much the
-							// parallel engine expands, but never the verdict;
-							// log for visibility, don't fail.
-							t.Logf("paths explored: serial=%d parallel=%d", serial.PathsExplored, par.PathsExplored)
+							// walkers expand, but never the verdict; log for
+							// visibility, don't fail.
+							t.Logf("paths explored: frozen=%d parallel=%d", want.paths, res.PathsExplored)
 						}
 					}
 				})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"accltl/accesscheck/cachetier"
 	"accltl/internal/access"
@@ -11,7 +12,6 @@ import (
 	"accltl/internal/fo"
 	"accltl/internal/instance"
 	"accltl/internal/lts"
-	"accltl/internal/schema"
 )
 
 // EmptinessOptions configures the emptiness engines.
@@ -39,36 +39,34 @@ type EmptinessOptions struct {
 	MaxPaths int
 	// Universe overrides the guard-derived witness universe.
 	Universe *instance.Instance
-	// Parallelism is the number of concurrent exploration walkers (0 or 1 =
-	// the serial engine, unchanged). W > 1 shards the product search over
-	// the root branching (lts.ExploreSharded) with the (configuration,
-	// state-set) memo shared across walkers behind striped locks keyed by
-	// the configuration Hash. Verdicts of searches that run to exhaustion
+	// Parallelism is the number of concurrent walkers claiming root shards
+	// of the canonical partition (lts.ExploreSharded), with the
+	// (configuration, state-set) memo shared across walkers behind striped
+	// locks keyed by the configuration Hash; 0 and 1 run a single walker
+	// over the shards in order. Verdicts of searches that run to exhaustion
 	// are identical for every W; witness choice and PathsExplored on
-	// early-stopped or capped searches are schedule-dependent (see the
-	// solver's twin note on accltl.SolveOptions.Parallelism).
+	// early-stopped or capped searches are schedule-dependent above one
+	// walker (see accltl.SolveOptions.Parallelism).
 	Parallelism int
 	// Shards, when non-nil, restricts the product search to the listed root
 	// shards of the canonical partition PlanShards enumerates (see
 	// accltl.SolveOptions.Shards for the subset-search contract: "non-empty"
 	// verdicts stay exact, "empty" verdicts cover only the selected shards
-	// and must be merged across a full cover). Setting Shards routes through
-	// the sharded engine even at Parallelism ≤ 1.
+	// and must be merged across a full cover).
 	Shards []int
 	// Memo, when non-nil, carries the product search's dominance memo
 	// across calls so a resumed search starts warm (progressive deepening),
 	// plus the search prep and root-shard plan, so PlanShards followed by
-	// any number of searches enumerates the partition once. The serial
-	// engine reuses only the prep. It is only valid for repeat searches and
-	// plans of the same automaton under the same options, and searches
-	// that end early scrub their unfinished walks' commitments before
-	// returning; see NewEmptinessMemo.
+	// any number of searches enumerates the partition once. It is only
+	// valid for repeat searches and plans of the same automaton under the
+	// same options, and searches that end early scrub their unfinished
+	// walks' commitments before returning; see NewEmptinessMemo.
 	Memo *EmptinessMemo
-	// Negative, when non-nil, fronts the sharded engine's dominance memo
-	// with a shared Bloom negative cache — the accltl.SolveOptions.Negative
+	// Negative, when non-nil, fronts the search's dominance memo with a
+	// shared Bloom negative cache — the accltl.SolveOptions.Negative
 	// contract: verdict-neutral, safe to share across automata and
-	// requests, ignored when Memo is set (a persistent memo carries its
-	// own arming; see NewEmptinessMemoNeg) and by the serial engine.
+	// requests, and ignored when Memo is set (a persistent memo carries its
+	// own arming; see NewEmptinessMemoNeg).
 	Negative *cachetier.NegativeCache
 }
 
@@ -93,9 +91,11 @@ type EmptinessResult struct {
 	ResponsesCapped bool
 	// CompletedShards lists, ascending, the canonical root shards whose
 	// walk ran to completion; TotalShards is the partition size the indexes
-	// refer to. Populated only by the sharded engine, and meaningful even
-	// when an error is returned alongside the result (checkpoint/resume
-	// reads them off a deadline-expired search).
+	// refer to. Every search that expands the root sets both, at every
+	// parallelism (an automaton accepting the empty path answers before
+	// any search), and they are meaningful even when an error is returned
+	// alongside the result (checkpoint/resume reads them off a
+	// deadline-expired search).
 	CompletedShards []int
 	TotalShards     int
 }
@@ -128,76 +128,111 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		res.Witness = access.NewPath(a.Schema)
 		return res, nil
 	}
-	if opts.Parallelism > 1 || opts.Shards != nil {
-		ltsOpts.Parallelism = opts.Parallelism
-		ltsOpts.Shards = opts.Shards
-		return a.isEmptyParallel(opts, ltsOpts, depth)
+	ltsOpts.Parallelism = opts.Parallelism
+	ltsOpts.Shards = opts.Shards
+
+	tables := opts.Memo
+	persist := tables != nil
+	plan := tables.searchPrep().Plan()
+	if tables == nil {
+		tables = NewEmptinessMemoNeg(opts.Negative)
 	}
-	type frame struct {
-		states map[int]bool
-		length int
-	}
+	memo := tables.memo
+	wit := &lts.WitnessBox[*access.Path]{}
+
+	var (
+		spineMu sync.Mutex
+		spines  []*emptinessSpine
+	)
 	steps := a.stepper()
-	stack := []frame{{states: map[int]bool{a.Init: true}, length: 0}}
-	// Memoization: emptiness from a node depends only on the revealed
-	// configuration and the automaton state set; prune dominated revisits.
-	// The configuration is identified by its O(1) incremental Hash.
-	type memoKey struct {
-		conf   instance.Hash
-		states string
-	}
-	seen := make(map[memoKey]int)
-	rep, err := lts.Explore(a.Schema, ltsOpts, func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
-		res.PathsExplored++
-		if p.Len() == 0 {
+	factory := func(shard int) lts.Visitor {
+		// Per-shard simulation stack, seeded with the initial state at the
+		// root (the shard's DFS starts at depth 1).
+		sp := &emptinessSpine{shard: shard, stack: []emptinessFrame{{states: map[int]bool{a.Init: true}, length: 0}}}
+		if persist {
+			spineMu.Lock()
+			spines = append(spines, sp)
+			spineMu.Unlock()
+		}
+		return func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
+			stack := sp.stack
+			defer func() { sp.stack = stack }()
+			for len(stack) > 0 && stack[len(stack)-1].length >= p.Len() {
+				stack = stack[:len(stack)-1]
+			}
+			if len(stack) == 0 {
+				return false, fmt.Errorf("autom: state stack underflow")
+			}
+			cur := stack[len(stack)-1].states
+			// The automaton steps on the last transition only, assembled
+			// from the pre/post configurations the explorer maintains
+			// incrementally — no per-node rebuild of the whole path's
+			// transitions.
+			last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
+			next, err := steps.step(cur, access.StructureOf(last))
+			if err != nil {
+				return false, err
+			}
+			if len(next) == 0 {
+				return false, nil // dead: prune
+			}
+			for s := range next {
+				if a.Accepting[s] {
+					wit.Offer(shard, p.Clone())
+					return false, lts.ErrStop
+				}
+			}
+			// Memoization: emptiness from a node depends only on the revealed
+			// configuration and the automaton state set, so dominated
+			// revisits are pruned. Under idempotence the future also depends
+			// on the responses seen so far; skip memoization there (see the
+			// solver's note in accltl.boundedSearch).
+			var mk emptinessMemoKey
+			recorded := false
+			if !opts.IdempotentOnly {
+				mk = emptinessMemoKey{conf: conf.Hash(), states: stateSetKey(next)}
+				if memo.DominatedOrRecord(mk, depth-p.Len()) {
+					return false, nil
+				}
+				recorded = true
+			}
+			stack = append(stack, emptinessFrame{states: next, length: p.Len(), key: mk, recorded: recorded})
 			return true, nil
 		}
-		for len(stack) > 0 && stack[len(stack)-1].length >= p.Len() {
-			stack = stack[:len(stack)-1]
+	}
+	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
+
+	rep, err := lts.ExploreSharded(a.Schema, ltsOpts, plan, root, factory)
+	res.PathsExplored = rep.Paths
+	res.CompletedShards = rep.CompletedShards
+	res.TotalShards = rep.TotalShards
+	if persist {
+		// Scrub unfinished walks' commitments from the persistent memo (the
+		// solver's rule): frames still stacked in a shard that did not
+		// complete are entered-but-unfinished subtrees, and their pre-order
+		// entries must not prune a resumed round.
+		done := make(map[int]bool, len(rep.CompletedShards))
+		for _, s := range rep.CompletedShards {
+			done[s] = true
 		}
-		if len(stack) == 0 {
-			return false, fmt.Errorf("autom: state stack underflow")
-		}
-		cur := stack[len(stack)-1].states
-		// The automaton steps on the last transition only, assembled from
-		// the pre/post configurations the explorer maintains incrementally
-		// — no per-node rebuild of the whole path's transitions.
-		last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-		next, err := steps.step(cur, access.StructureOf(last))
-		if err != nil {
-			return false, err
-		}
-		if len(next) == 0 {
-			return false, nil // dead: prune
-		}
-		for s := range next {
-			if a.Accepting[s] {
-				res.Empty = false
-				res.Witness = p.Clone()
-				return false, lts.ErrStop
+		for _, sp := range spines {
+			if done[sp.shard] {
+				continue
+			}
+			for i := range sp.stack {
+				if sp.stack[i].recorded {
+					memo.Remove(sp.stack[i].key)
+				}
 			}
 		}
-		// Under idempotence the future also depends on the responses seen
-		// so far; skip memoization there (see the solver's twin note).
-		if !opts.IdempotentOnly {
-			remaining := depth - p.Len()
-			key := memoKey{conf: conf.Hash(), states: stateSetKey(next)}
-			if prev, ok := seen[key]; ok && prev >= remaining {
-				return false, nil
-			}
-			seen[key] = remaining
-		}
-		stack = append(stack, frame{states: next, length: p.Len()})
-		return true, nil
-	})
-	if err != nil {
-		return res, err
 	}
-	if res.Empty {
-		res.Truncated = rep.PathsCapped
-		res.ResponsesCapped = rep.ResponsesCapped
-	}
-	if !res.Empty && res.Witness.Len() > 0 {
+	if w, found := wit.Take(); found {
+		// A found witness settles non-emptiness even when another walker
+		// errored before the early-cancel broadcast landed (the solver's
+		// rule): it is validated against the run semantics below, so the
+		// verdict does not depend on the failed walker's search.
+		res.Empty = false
+		res.Witness = w
 		ok, err := a.Accepts(res.Witness)
 		if err != nil {
 			return res, err
@@ -205,7 +240,13 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		if !ok {
 			return res, fmt.Errorf("autom: internal error: witness rejected by run semantics")
 		}
+		return res, nil
 	}
+	if err != nil {
+		return res, err
+	}
+	res.Truncated = rep.PathsCapped
+	res.ResponsesCapped = rep.ResponsesCapped
 	return res, nil
 }
 
@@ -236,10 +277,10 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 	}
 	maxPaths := opts.MaxPaths
 	if maxPaths == 0 {
-		maxPaths = 1 << 22
+		maxPaths = accltl.DefaultMaxPaths
 	}
 	extraVals := guardConstants(a)
-	extraVals = append(extraVals, freshBindingValues(a.Schema)...)
+	extraVals = append(extraVals, accltl.FreshBindingValues(a.Schema)...)
 	return lts.Options{
 		Context:            opts.Context,
 		Universe:           universe,
@@ -307,28 +348,6 @@ func guardConstants(a *Automaton) []instance.Value {
 				out = append(out, v)
 			}
 		}
-	}
-	return out
-}
-
-// freshBindingValues supplies one fresh value per datatype used as a method
-// input, so methods can fire even over an empty universe.
-func freshBindingValues(sch *schema.Schema) []instance.Value {
-	need := make(map[schema.Type]bool)
-	for _, m := range sch.Methods() {
-		for _, ty := range m.InputTypes() {
-			need[ty] = true
-		}
-	}
-	var out []instance.Value
-	if need[schema.TypeInt] {
-		out = append(out, instance.Int(987654321))
-	}
-	if need[schema.TypeString] {
-		out = append(out, instance.Str("_freshbind"))
-	}
-	if need[schema.TypeBool] {
-		out = append(out, instance.Bool(true), instance.Bool(false))
 	}
 	return out
 }

@@ -9,10 +9,24 @@ import (
 	"accltl/internal/accltl"
 )
 
-// TestIsEmptyParallelMatchesSerial pins the sharded product search against
-// the serial engine across formulas with both verdicts and across the W
-// grid: exhaustive searches must agree on Empty and the honesty flags, and
-// every witness must pass the run semantics.
+// frozenEmptiness is one grid cell's answer from the serial product search
+// this package ran before the sharded search became its only engine.
+type frozenEmptiness struct {
+	empty, truncated, respCapped bool
+	// paths is PathsExplored, pinned on empty cells only: a non-empty
+	// search stops at its first witness, and the serial DFS and the shard
+	// order reach different first witnesses.
+	paths int
+}
+
+// TestIsEmptyParallelMatchesSerial pins the sharded product search, across
+// formulas with both verdicts and across the W grid, to the serial engine's
+// frozen answers. At W=1 (one walker, deterministic shard order) every cell
+// must match field for field: Empty, Truncated, ResponsesCapped, and
+// PathsExplored on empty cells. W ∈ {2,4,8} must match Empty and the
+// honesty flags unless a path cap cut the search (then the verdict may
+// only diverge under Truncated), and every witness must pass the run
+// semantics.
 func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 	s := twoRelSchema(t)
 	formulas := []accltl.Formula{
@@ -34,6 +48,14 @@ func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 		{MaxDepth: 4, Grounded: true},
 		{MaxDepth: 4, IdempotentOnly: true},
 		{MaxDepth: 4, AllExact: true},
+		{MaxDepth: 4, MaxPaths: 20},
+		{MaxDepth: 4, MaxPaths: 3},
+	}
+	// frozen[formula][grid] is the serial engine's answer.
+	frozen := [][]frozenEmptiness{
+		{{false, false, false, 0}, {false, false, false, 0}, {false, false, false, 0}, {false, false, false, 0}, {false, false, false, 0}, {true, true, false, 3}},
+		{{true, false, false, 5}, {true, false, false, 3}, {true, false, false, 31}, {true, false, false, 5}, {true, false, false, 5}, {true, true, false, 3}},
+		{{false, false, false, 0}, {false, false, false, 0}, {false, false, false, 0}, {false, false, false, 0}, {false, false, false, 0}, {true, true, false, 3}},
 	}
 	for fi, f := range formulas {
 		a, err := CompileAccLTLPlus(s, f)
@@ -41,33 +63,39 @@ func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("formula %d: %v", fi, err)
 		}
 		for gi, base := range grids {
-			serial, err := a.IsEmpty(base)
-			if err != nil {
-				t.Fatalf("formula %d grid %d serial: %v", fi, gi, err)
-			}
-			for _, w := range []int{2, 4, 8} {
+			want := frozen[fi][gi]
+			for _, w := range []int{1, 2, 4, 8} {
 				popts := base
 				popts.Parallelism = w
-				par, err := a.IsEmpty(popts)
+				res, err := a.IsEmpty(popts)
 				if err != nil {
 					t.Fatalf("formula %d grid %d w=%d: %v", fi, gi, w, err)
 				}
-				if par.Empty != serial.Empty {
-					t.Errorf("formula %d grid %d w=%d: Empty=%v, serial %v", fi, gi, w, par.Empty, serial.Empty)
-					continue
-				}
-				if par.Empty {
-					if par.Truncated != serial.Truncated || par.ResponsesCapped != serial.ResponsesCapped {
-						t.Errorf("formula %d grid %d w=%d: honesty flags diverge: serial trunc=%v caps=%v, parallel trunc=%v caps=%v",
-							fi, gi, w, serial.Truncated, serial.ResponsesCapped, par.Truncated, par.ResponsesCapped)
-					}
-					continue
-				}
-				if par.Witness.Len() > 0 {
-					ok, err := a.Accepts(par.Witness)
+				if !res.Empty {
+					ok, err := a.Accepts(res.Witness)
 					if err != nil || !ok {
 						t.Errorf("formula %d grid %d w=%d: witness rejected: ok=%v err=%v", fi, gi, w, ok, err)
 					}
+				}
+				if w == 1 {
+					got := frozenEmptiness{res.Empty, res.Truncated, res.ResponsesCapped, 0}
+					if res.Empty {
+						got.paths = res.PathsExplored
+					}
+					if got != want {
+						t.Errorf("formula %d grid %d: W=1 answer %+v, serial engine answered %+v", fi, gi, got, want)
+					}
+					continue
+				}
+				if res.Empty != want.empty {
+					if !res.Truncated && !want.truncated {
+						t.Errorf("formula %d grid %d w=%d: Empty=%v, frozen %v", fi, gi, w, res.Empty, want.empty)
+					}
+					continue
+				}
+				if res.Empty && (res.Truncated != want.truncated || res.ResponsesCapped != want.respCapped) {
+					t.Errorf("formula %d grid %d w=%d: honesty flags diverge: frozen trunc=%v caps=%v, parallel trunc=%v caps=%v",
+						fi, gi, w, want.truncated, want.respCapped, res.Truncated, res.ResponsesCapped)
 				}
 			}
 		}

@@ -23,9 +23,8 @@ const shardTableStripes = 64
 // incremental instance.Hash, so walkers covering overlapping configuration
 // spaces land on the same stripes and prune against each other's work).
 //
-// Sharing the memo across walkers is sound for the same reason the serial
-// memo is: an entry means "a search from this state with at least this much
-// budget was committed to", and verdicts are only produced by searches that
+// Sharing the memo across walkers is sound: an entry means "a search from
+// this state with at least this much budget was committed to", and verdicts are only produced by searches that
 // ran to completion — errors and context expiries surface as errors, caps
 // surface as truncation. It does make visited-path counts
 // schedule-dependent (whether a walker reaches a node before or after a
@@ -48,13 +47,11 @@ type dominanceStripe[K comparable] struct {
 	m  map[K]int
 }
 
-// NewDominanceMemo builds an empty memo striped by stripeOf.
+// NewDominanceMemo builds an empty memo striped by stripeOf. A stripe's map
+// is made on its first record, so a small search pays only for the stripes
+// it touches.
 func NewDominanceMemo[K comparable](stripeOf func(K) uint64) *DominanceMemo[K] {
-	t := &DominanceMemo[K]{stripeOf: stripeOf}
-	for i := range t.stripes {
-		t.stripes[i].m = make(map[K]int)
-	}
-	return t
+	return &DominanceMemo[K]{stripeOf: stripeOf}
 }
 
 // WithNegativeCache arms the memo with a shared Bloom negative cache:
@@ -99,6 +96,9 @@ func (t *DominanceMemo[K]) DominatedOrRecord(k K, remaining int) bool {
 	if ok && prev >= remaining {
 		st.mu.Unlock()
 		return true
+	}
+	if st.m == nil {
+		st.m = make(map[K]int)
 	}
 	st.m[k] = remaining
 	st.mu.Unlock()
