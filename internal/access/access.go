@@ -182,14 +182,27 @@ func (p *Path) Truncate(n int) {
 
 // Clone returns a copy sharing no mutable state. Response slices are
 // deep-copied (the originals may be explorer-borrowed buffers, see
-// AppendBorrowed); the tuples and accesses inside are immutable and shared.
+// AppendBorrowed); the tuples inside are immutable and shared. Bindings are
+// copied into one slice for the whole path: an explorer cuts them from an
+// arena holding a method's whole binding product, which a retained clone
+// (a cached witness) must not keep alive.
 func (p *Path) Clone() *Path {
 	cp := NewPath(p.sch)
 	cp.steps = make([]Step, len(p.steps))
 	copy(cp.steps, p.steps)
+	n := 0
+	for _, st := range p.steps {
+		n += len(st.Access.Binding)
+	}
+	vals := make(instance.Tuple, 0, n)
 	for i := range cp.steps {
-		if r := cp.steps[i].Response; len(r) > 0 {
-			cp.steps[i].Response = append([]instance.Tuple(nil), r...)
+		st := &cp.steps[i]
+		if r := st.Response; len(r) > 0 {
+			st.Response = append([]instance.Tuple(nil), r...)
+		}
+		if b := st.Access.Binding; len(b) > 0 {
+			vals = append(vals, b...)
+			st.Access.Binding = vals[len(vals)-len(b) : len(vals) : len(vals)]
 		}
 	}
 	return cp

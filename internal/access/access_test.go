@@ -317,3 +317,20 @@ func TestPathCloneIndependence(t *testing.T) {
 		t.Error("clone shares steps")
 	}
 }
+
+// TestPathCloneCopiesBindings: a clone must not alias the original's
+// binding storage. Explorers cut bindings from one arena per binding
+// product, so a retained clone aliasing them would pin the whole arena.
+func TestPathCloneCopiesBindings(t *testing.T) {
+	s := phoneSchema(t)
+	p := smithPath(t, s)
+	q := p.Clone()
+	if q.String() != p.String() {
+		t.Fatalf("clone renders %s, original %s", q, p)
+	}
+	for i := 0; i < p.Len(); i++ {
+		if b, c := p.Step(i).Access.Binding, q.Step(i).Access.Binding; len(b) > 0 && &b[0] == &c[0] {
+			t.Errorf("step %d: clone aliases the original binding", i)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package lts
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"accltl/internal/access"
@@ -423,5 +424,44 @@ func TestExploreWitnessSurvivesBacktrack(t *testing.T) {
 		if !u.Contains(conf) {
 			t.Errorf("snapshot %d: cloned path's config escaped the universe", i)
 		}
+	}
+}
+
+// TestExploreMatchesReferenceMultiInput repeats the reference comparison on
+// a schema with a two-input and a zero-input method (the grid's schema has
+// one-input methods only), so the order of a multi-input binding product
+// is pinned against the reference's nested loop. Visit order is what
+// Explore and Successors expose; the sorted shard partition cannot show it.
+func TestExploreMatchesReferenceMultiInput(t *testing.T) {
+	s, base := escapePlanFixture(t)
+	seed := instance.NewInstance(s)
+	seed.MustAdd("E", instance.Str("a"), instance.Int(9))
+	for name, o := range map[string]Options{
+		"plain":    base,
+		"grounded": {Universe: base.Universe, MaxDepth: 2, GroundedOnly: true, Initial: seed},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want, got []string
+			wantRep, err := refExplore(s, o, func(p *access.Path, _ *instance.Instance) (bool, error) {
+				want = append(want, p.String())
+				return true, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRep, err := Explore(s, o, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
+				got = append(got, p.String())
+				return true, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameReportCore(wantRep, gotRep) {
+				t.Errorf("report mismatch: reference %+v, explore %+v", wantRep, gotRep)
+			}
+			if !slices.Equal(want, got) {
+				t.Errorf("visit traces differ (%d reference visits, %d explore visits)", len(want), len(got))
+			}
+		})
 	}
 }

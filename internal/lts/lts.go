@@ -24,7 +24,6 @@ package lts
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -198,12 +197,29 @@ func Explore(sch *schema.Schema, opts Options, visit Visitor) (Report, error) {
 	return rep, err
 }
 
-// boundAccess is a cache-owned access with its canonical key precomputed
-// (the key is needed on every idempotence check).
+// boundAccess is a cache-owned access with its canonical key and its
+// method's input positions precomputed: the key is needed on every
+// idempotence check and shard sort, the positions on every matching scan.
+// The binding, the key and the positions are slices of arenas shared by
+// every access of one method and pool version (see bindings), read-only
+// once built.
 type boundAccess struct {
-	acc access.Access
+	acc    access.Access
+	key    string
+	inputs []int
+}
+
+// poolValue is one binding-pool value with its tuple-key component: the
+// value's Key with the 0x1f separator escaped exactly as Tuple.Key escapes
+// it, so a binding key is its components joined, with no re-keying.
+type poolValue struct {
+	v   instance.Value
 	key string
 }
+
+// bindPool is one binding-pool version split by datatype, each column in
+// pool order.
+type bindPool map[schema.Type][]poolValue
 
 // bindKey keys the binding cache: one entry per access method per
 // binding-pool version. Versions only ever advance while the pool that
@@ -261,14 +277,20 @@ type explorer struct {
 	// poolVersion identifies the current binding pool for the cache. It
 	// moves only in grounded mode: non-grounded pools are constant for a
 	// whole exploration (every revealed value already lives in the
-	// universe's active domain, see bindingPool). versionSeq hands out
+	// universe's active domain, see poolValues). versionSeq hands out
 	// fresh, never-reused version numbers. bindLog records cache insertions
 	// in creation order (grounded mode only) so backtracking past a version
-	// bump can evict exactly the entries whose pool died with the subtree.
+	// bump can evict exactly the entries whose pool died with the subtree;
+	// pools holds each live version's typed pool, evicted the same way.
 	poolVersion uint64
 	versionSeq  uint64
 	bindCache   map[bindKey][]boundAccess
 	bindLog     []bindKey
+	pools       map[uint64]bindPool
+
+	// polled counts enumeration work (bindings built, root bindings
+	// planned, successor bindings) for the shared context-poll cadence.
+	polled int
 
 	// Universe caches: relation contents in canonical order with their
 	// canonical keys, and the active domain, each computed once per
@@ -290,8 +312,20 @@ func newExplorer(sch *schema.Schema, o Options) *explorer {
 		known:     make(map[instance.Value]bool),
 		idem:      make(map[string]string),
 		bindCache: make(map[bindKey][]boundAccess),
+		pools:     make(map[uint64]bindPool),
 		uTuples:   make(map[string]*relCache),
 	}
+}
+
+// pollContext counts one unit of enumeration work and polls the context on
+// every 64th: the cadence of every enumeration loop that runs outside the
+// per-node poll of rec (binding products, plan builds, Successors).
+func (e *explorer) pollContext() error {
+	e.polled++
+	if e.opts.Context != nil && e.polled&0x3f == 0 {
+		return e.opts.Context.Err()
+	}
+	return nil
 }
 
 func (e *explorer) frame(depth int) *frame {
@@ -403,7 +437,7 @@ func (e *explorer) expandChildren(depth int) error {
 		exact := e.exact(m)
 		for i := range bas {
 			ba := &bas[i]
-			it := e.responses(fr, ba.acc, exact)
+			it := e.responses(fr, ba, exact)
 			for {
 				resp, keys, ok := it.next(fr)
 				if !ok {
@@ -424,8 +458,14 @@ func (e *explorer) expandChildren(depth int) error {
 // subset-mask fan-out order (mask 0, the empty response, first). The
 // iterator is a plain value and builds each response into the frame's
 // reusable buffers: no closure, no materialized 2^n slice of slices.
-func (e *explorer) responses(fr *frame, acc access.Access, exact bool) respIter {
-	matching, keys := e.matching(fr, acc)
+func (e *explorer) responses(fr *frame, ba *boundAccess, exact bool) respIter {
+	matching, keys := e.matching(fr, ba)
+	return e.responsesOf(matching, keys, exact)
+}
+
+// responsesOf is responses over an access's already computed matching
+// tuples and keys.
+func (e *explorer) responsesOf(matching []instance.Tuple, keys []string, exact bool) respIter {
 	if exact {
 		return respIter{matching: matching, keys: keys, exact: true}
 	}
@@ -534,13 +574,15 @@ func (e *explorer) step(depth int, fr *frame, ba *boundAccess, resp []instance.T
 	if bumped {
 		// Every binding-cache entry created inside the subtree carries a
 		// version newer than savedVersion (versions only move forward and
-		// are restored on exit), so its pool is dead now: evict, keeping
-		// the cache bounded by the live branch instead of the whole
-		// exploration history.
+		// are restored on exit), so its pool is dead now: evict the
+		// entries and this step's typed pool (deeper steps evicted
+		// theirs), keeping both bounded by the live branch instead of the
+		// whole exploration history.
 		for _, k := range e.bindLog[logMark:] {
 			delete(e.bindCache, k)
 		}
 		e.bindLog = e.bindLog[:logMark]
+		delete(e.pools, e.poolVersion)
 	}
 	e.poolVersion = savedVersion
 	for _, v := range fr.vals {
@@ -566,69 +608,120 @@ func (e *explorer) respFingerprintKeyed(fr *frame, keys []string) string {
 
 // bindings returns the candidate accesses of a method over the current
 // binding pool, cached per (method, pool version): the typed cartesian
-// product is built — and each access validated and keyed — once per pool,
-// not once per node.
+// product is built and keyed once per pool, not once per node. Walkers of a
+// sharded exploration start with the plan's root-pool entries in the cache
+// (see exploreSharded), so the root pool is enumerated once per plan.
 func (e *explorer) bindings(m *schema.AccessMethod) ([]boundAccess, error) {
 	key := bindKey{m: m, version: e.poolVersion}
 	if bas, ok := e.bindCache[key]; ok {
 		return bas, nil
 	}
+	bas, err := e.buildBindings(m)
+	if err != nil {
+		return nil, err
+	}
 	if e.opts.GroundedOnly {
 		e.bindLog = append(e.bindLog, key)
-	}
-	pool := e.bindingPool()
-	types := m.InputTypes()
-	var bas []boundAccess
-	add := func(b instance.Tuple) error {
-		acc, err := access.NewAccess(m, b)
-		if err != nil {
-			// The binding pool is typed, so a mismatch only means this
-			// candidate cannot feed this method; anything else is a real
-			// fault that must not be silently dropped.
-			if errors.Is(err, access.ErrTypeMismatch) {
-				return nil
-			}
-			return err
-		}
-		bas = append(bas, boundAccess{acc: acc, key: acc.Key()})
-		return nil
-	}
-	if len(types) == 0 {
-		if err := add(instance.Tuple{}); err != nil {
-			return nil, err
-		}
-		e.bindCache[key] = bas
-		return bas, nil
-	}
-	byType := make(map[schema.Type][]instance.Value)
-	for _, v := range pool {
-		byType[v.Kind()] = append(byType[v.Kind()], v)
-	}
-	cur := make(instance.Tuple, len(types))
-	var buildErr error
-	var build func(i int)
-	build = func(i int) {
-		if buildErr != nil {
-			return
-		}
-		if i == len(types) {
-			buildErr = add(cur)
-			return
-		}
-		for _, v := range byType[types[i]] {
-			cur[i] = v
-			build(i + 1)
-		}
-	}
-	build(0)
-	if buildErr != nil {
-		return nil, buildErr
 	}
 	e.bindCache[key] = bas
 	return bas, nil
 }
 
-func (e *explorer) bindingPool() []instance.Value {
+// buildBindings builds a method's binding product over the current pool
+// into three arenas: one backing array of binding values, one of accesses,
+// and one key string every access key is a slice of. The product costs a
+// constant number of allocations however many bindings it has. Bindings
+// come in the order of a nested loop over the input positions, the last
+// fastest. Values come from the pool's column for their input's datatype,
+// so the type check holds by construction; it is still made, and a
+// mismatch is an error, never a skipped binding. The context is polled
+// every 64 bindings, so a huge product cannot outrun a budget.
+func (e *explorer) buildBindings(m *schema.AccessMethod) ([]boundAccess, error) {
+	pool := e.bindingPool()
+	types := m.InputTypes()
+	k := len(types)
+	cols := make([][]poolValue, k)
+	count := 1
+	for i, ty := range types {
+		cols[i] = pool[ty]
+		count *= len(cols[i])
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	// Each key is name|c0<0x1f>c1...: the fixed part once per binding, and
+	// each column's components once per combination of the other columns.
+	name := m.Name()
+	keyBytes := count * (len(name) + 1 + max(k-1, 0))
+	for _, col := range cols {
+		n := 0
+		for _, pv := range col {
+			n += len(pv.key)
+		}
+		keyBytes += n * (count / len(col))
+	}
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	inputs := m.Inputs()
+	vals := make([]instance.Value, count*k)
+	bas := make([]boundAccess, count)
+	idx := make([]int, k)
+	for b := range bas {
+		if err := e.pollContext(); err != nil {
+			return nil, err
+		}
+		tup := vals[b*k : (b+1)*k : (b+1)*k]
+		start := keys.Len()
+		keys.WriteString(name)
+		keys.WriteByte('|')
+		for i, col := range cols {
+			pv := col[idx[i]]
+			if pv.v.Kind() != types[i] {
+				return nil, fmt.Errorf("lts: method %s input %d: pool value %s has type %s, want %s: %w",
+					name, i, pv.v, pv.v.Kind(), types[i], access.ErrTypeMismatch)
+			}
+			tup[i] = pv.v
+			if i > 0 {
+				keys.WriteByte(0x1f)
+			}
+			keys.WriteString(pv.key)
+		}
+		// The builder was grown to the exact total, so every key shares
+		// one buffer; a string String returns is never written again.
+		bas[b] = boundAccess{acc: access.Access{Method: m, Binding: tup}, key: keys.String()[start:], inputs: inputs}
+		for i := k - 1; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(cols[i]) {
+				break
+			}
+			idx[i] = 0
+		}
+	}
+	return bas, nil
+}
+
+// bindingPool returns the current pool version split by datatype, built
+// once per version: every method's bindings draw from it, so the pool is
+// deduplicated and keyed once per version, not once per method. A
+// non-grounded exploration has one version for its whole life; a grounded
+// one evicts a version with the subtree whose step created it (see step).
+func (e *explorer) bindingPool() bindPool {
+	if p, ok := e.pools[e.poolVersion]; ok {
+		return p
+	}
+	p := make(bindPool)
+	for _, v := range e.poolValues() {
+		k := v.Key()
+		if strings.IndexByte(k, 0x1f) >= 0 {
+			k = strings.ReplaceAll(k, "\x1f", "\x1e\x1f")
+		}
+		p[v.Kind()] = append(p[v.Kind()], poolValue{v: v, key: k})
+	}
+	e.pools[e.poolVersion] = p
+	return p
+}
+
+// poolValues is the current binding pool in its canonical order.
+func (e *explorer) poolValues() []instance.Value {
 	if e.opts.GroundedOnly {
 		// Deterministic order: sort the known values.
 		vs := make([]instance.Value, 0, len(e.known))
@@ -681,8 +774,8 @@ func (e *explorer) universeDomain() []instance.Value {
 // matches (the exact well-formed response) and their canonical keys.
 // Relation contents come from the per-exploration cache in canonical order,
 // so no per-node sort or key build happens.
-func (e *explorer) matching(fr *frame, acc access.Access) ([]instance.Tuple, []string) {
-	rel := acc.Method.Relation().Name()
+func (e *explorer) matching(fr *frame, ba *boundAccess) ([]instance.Tuple, []string) {
+	rel := ba.acc.Method.Relation().Name()
 	rc, ok := e.uTuples[rel]
 	if !ok {
 		ts := e.opts.Universe.Tuples(rel)
@@ -692,13 +785,13 @@ func (e *explorer) matching(fr *frame, acc access.Access) ([]instance.Tuple, []s
 		}
 		e.uTuples[rel] = rc
 	}
-	inputs := acc.Method.Inputs()
+	binding := ba.acc.Binding
 	fr.matching = fr.matching[:0]
 	fr.matchKeys = fr.matchKeys[:0]
 	for i, t := range rc.tuples {
 		match := true
-		for bi, p := range inputs {
-			if t[p] != acc.Binding[bi] {
+		for bi, p := range ba.inputs {
+			if t[p] != binding[bi] {
 				match = false
 				break
 			}

@@ -7,8 +7,10 @@ package lts
 // space below the root — and up to Parallelism walkers claim shards from a
 // shared queue, each running the ordinary serial depth-first walk over its
 // shard with its own borrowed path/pre/post state, undo buffers and binding
-// caches. Nothing in the hot loop is shared except three atomics on the
-// coordinator:
+// caches. A walker's binding cache starts with the plan's root-pool
+// bindings, which the plan's shards point into, so no walker enumerates the
+// root pool again. Nothing in the hot loop is shared except three atomics
+// on the coordinator:
 //
 //   - paths, the global path budget: claimed once per visit, so MaxPaths
 //     keeps its exact serial semantics (Report.Paths and PathsCapped are
@@ -60,15 +62,17 @@ type shardCoord struct {
 
 // rootShard is one unit of parallel work: the subtree of all paths opening
 // with this (first access, first response) pair — or, when wholeAccess is
-// set, with this first access under *any* of its responses. resp and keys
-// are owned by the shard (materialized once at enumeration), so any walker
-// can borrow them for the duration of its walk; wholeAccess shards carry no
-// response and enumerate theirs lazily inside the walker, which keeps the
-// up-front materialization bounded when a subset fan-out is huge (a raised
+// set, with this first access under *any* of its responses. ba points into
+// the plan's root-pool bindings; resp and keys are slices of the plan's
+// response arenas and sortKey of its one sort-key string (all materialized
+// once at enumeration and read-only after), so any walker can borrow them
+// for the duration of its walk; wholeAccess shards carry no response and
+// enumerate theirs lazily inside the walker, which keeps the up-front
+// materialization bounded when a subset fan-out is huge (a raised
 // MaxResponseChoices can make one access fan out into 2^k responses — the
 // serial engine streams those, and so must sharding).
 type rootShard struct {
-	ba          boundAccess
+	ba          *boundAccess
 	resp        []instance.Tuple
 	keys        []string
 	wholeAccess bool
@@ -205,16 +209,8 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, fac
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := newExplorer(sch, o)
+			e := newWalker(sch, o, plan, init)
 			e.shared = coord
-			e.uTuples = plan.uTuples
-			e.uDomain = plan.uDomain
-			e.path = access.NewPath(sch)
-			e.post = init.Clone()
-			e.pre = init.Clone()
-			for _, v := range init.ActiveDomain() {
-				e.known[v] = true
-			}
 			for {
 				if coord.stop.Load() || dispatchStop.Load() {
 					break
@@ -228,9 +224,9 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, fac
 				e.visit = factory(si)
 				var err error
 				if sh.wholeAccess {
-					err = e.stepWholeAccess(&sh.ba)
+					err = e.stepWholeAccess(sh.ba)
 				} else {
-					err = e.step(0, e.frame(0), &sh.ba, sh.resp, sh.keys)
+					err = e.step(0, e.frame(0), sh.ba, sh.resp, sh.keys)
 				}
 				if err == nil {
 					// The shard's whole subtree was walked: a stop broadcast, a
@@ -291,12 +287,34 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, fac
 	return rep, firstErr
 }
 
+// newWalker returns an explorer at the root of a built plan's exploration,
+// ready to step into any of its shards: its own mutate-and-undo state over
+// init, the plan's read-only universe caches, and a binding cache holding
+// the plan's root-pool bindings. Those are exactly what the walker's pool
+// version 0 would enumerate (same options, same initial pool), and the
+// shards point into them.
+func newWalker(sch *schema.Schema, o Options, plan *Plan, init *instance.Instance) *explorer {
+	e := newExplorer(sch, o)
+	e.uTuples = plan.uTuples
+	e.uDomain = plan.uDomain
+	for mi, m := range sch.Methods() {
+		e.bindCache[bindKey{m: m}] = plan.root[mi]
+	}
+	e.path = access.NewPath(sch)
+	e.post = init.Clone()
+	e.pre = init.Clone()
+	for _, v := range init.ActiveDomain() {
+		e.known[v] = true
+	}
+	return e
+}
+
 // stepWholeAccess explores every response edge of one first access from the
 // root — the lazy walker side of a wholeAccess shard, using the same
 // streaming respIter the serial engine's expandChildren uses.
 func (e *explorer) stepWholeAccess(ba *boundAccess) error {
 	fr := e.frame(0)
-	it := e.responses(fr, ba.acc, e.exact(ba.acc.Method))
+	it := e.responses(fr, ba, e.exact(ba.acc.Method))
 	for {
 		resp, keys, ok := it.next(fr)
 		if !ok {

@@ -19,6 +19,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,11 +56,20 @@ type ShardID struct {
 // extra binding values), and the first build fixes them. Walking it under
 // different options is unchecked and wrong. MaxDepth, MaxPaths,
 // Parallelism, Shards and Context do not enter the plan.
+//
+// Besides the shards, a built plan keeps the root-pool (version 0) bound
+// accesses of every method, which its shards point into: each walker seeds
+// its binding cache with them instead of enumerating the root pool again.
+// That holds in grounded mode too, where version 0 is always the initial
+// pool and versions are never reused.
 type Plan struct {
 	mu         sync.Mutex
 	built      bool
 	shards     []rootShard
 	respCapped bool
+	// root holds the root-pool bound accesses, one slice per method in
+	// schema order.
+	root [][]boundAccess
 	// Read-only universe caches shared by every walker: relation contents
 	// with canonical keys, and the active domain.
 	uTuples map[string]*relCache
@@ -134,10 +144,16 @@ func initialOf(sch *schema.Schema, o Options) *instance.Instance {
 // build is the single root enumeration: it materializes every (first
 // access, first response) pair reachable from init in the canonical order —
 // sorted by access key, then response fingerprint — together with the
-// universe caches the walkers share. The sort makes shard indexes (and so
-// the shard→walker assignment and any index-based witness preference)
-// deterministic across runs, independent of schema method insertion order.
-// o has defaults applied.
+// root-pool bindings and the universe caches the walkers share. The sort
+// makes shard indexes (and so the shard→walker assignment and any
+// index-based witness preference) deterministic across runs, independent of
+// schema method insertion order. o has defaults applied.
+//
+// The build allocates per plan, not per shard: a first pass over the
+// root bindings counts the shards and response tuples, so the shards, their
+// responses and their response keys are cut from three exactly sized
+// arenas; every sort key is a slice of one string; and the sort orders
+// indexes, then permutes the shards into place once.
 func (p *Plan) build(sch *schema.Schema, o Options, init *instance.Instance) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -155,64 +171,160 @@ func (p *Plan) build(sch *schema.Schema, o Options, init *instance.Instance) err
 		e.known[v] = true
 	}
 	fr := &frame{}
-	var shards []rootShard
-	var sk strings.Builder
-	polled := 0
-	for _, m := range sch.Methods() {
+	// respChoices is how many matching tuples a subset fan-out ranges
+	// over, and whole whether the access becomes one lazy whole-access
+	// shard instead of 2^n materialized ones.
+	respChoices := func(n int) (choices int, whole bool) {
+		choices = min(n, o.MaxResponseChoices)
+		return choices, choices > 8 || 1<<choices > maxShardMasksPerAccess
+	}
+
+	// Pass 1: enumerate the root bindings and size the arenas. The context
+	// is polled per binding here and inside the binding products, since the
+	// whole root fan-out is materialized before any walker starts polling.
+	methods := sch.Methods()
+	root := make([][]boundAccess, len(methods))
+	nShards, nTuples := 0, 0
+	for mi, m := range methods {
 		bas, err := e.bindings(m)
 		if err != nil {
 			return err
 		}
+		root[mi] = bas
 		exact := e.exact(m)
 		for i := range bas {
-			// Poll the context every few bindings, like Successors does for
-			// the same method × binding × response product: the whole root
-			// fan-out is materialized before any walker starts polling, so
-			// an expired budget must be honoured here too.
-			polled++
-			if o.Context != nil && polled&0x3f == 0 {
-				if err := o.Context.Err(); err != nil {
-					return err
-				}
+			if err := e.pollContext(); err != nil {
+				return err
 			}
-			ba := bas[i]
+			matching, _ := e.matching(fr, &bas[i])
+			n := len(matching)
+			if exact {
+				nShards++
+				nTuples += n
+				continue
+			}
+			n, whole := respChoices(n)
+			if whole {
+				nShards++
+				continue
+			}
+			// 2^n subsets, each tuple in half of them.
+			nShards += 1 << n
+			nTuples += n << n >> 1
+		}
+	}
+
+	// Pass 2: materialize the shards.
+	shards := make([]rootShard, 0, nShards)
+	tuples := make([]instance.Tuple, nTuples)
+	tupleKeys := make([]string, nTuples)
+	for mi, m := range methods {
+		exact := e.exact(m)
+		for i := range root[mi] {
+			if err := e.pollContext(); err != nil {
+				return err
+			}
+			ba := &root[mi][i]
+			matching, keys := e.matching(fr, ba)
 			if !exact {
-				// A subset fan-out beyond the per-access limit becomes one
-				// lazy whole-access shard instead of 2^k materialized ones.
-				matching, _ := e.matching(fr, ba.acc)
-				n := len(matching)
-				if n > e.opts.MaxResponseChoices {
-					n = e.opts.MaxResponseChoices
+				n, whole := respChoices(len(matching))
+				if n < len(matching) {
 					e.respCapped = true
 				}
-				if n > 8 || 1<<n > maxShardMasksPerAccess {
+				if whole {
 					shards = append(shards, rootShard{ba: ba, wholeAccess: true, sortKey: ba.key})
 					continue
 				}
 			}
-			it := e.responses(fr, ba.acc, exact)
+			it := e.responsesOf(matching, keys, exact)
 			for {
 				resp, keys, ok := it.next(fr)
 				if !ok {
 					break
 				}
-				r := make([]instance.Tuple, len(resp))
-				copy(r, resp)
-				k := make([]string, len(keys))
-				copy(k, keys)
-				sk.Reset()
-				sk.WriteString(ba.key)
-				sk.WriteByte(0x1e)
-				sk.WriteString(e.respFingerprintKeyed(fr, k))
-				shards = append(shards, rootShard{ba: ba, resp: r, keys: k, sortKey: sk.String()})
+				n := len(resp)
+				sh := rootShard{ba: ba, resp: tuples[:n:n], keys: tupleKeys[:n:n]}
+				copy(sh.resp, resp)
+				copy(sh.keys, keys)
+				tuples, tupleKeys = tuples[n:], tupleKeys[n:]
+				shards = append(shards, sh)
 			}
 		}
 	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].sortKey < shards[j].sortKey })
-	p.shards, p.respCapped = shards, e.respCapped
+
+	// Pass 3: the per-response sort keys — access key, 0x1e, response
+	// fingerprint — written into one exactly sized buffer.
+	keyBytes := 0
+	for i := range shards {
+		if sh := &shards[i]; !sh.wholeAccess {
+			keyBytes += len(sh.ba.key) + 1 + max(len(sh.keys)-1, 0)
+			for _, k := range sh.keys {
+				keyBytes += len(k)
+			}
+		}
+	}
+	var sk strings.Builder
+	sk.Grow(keyBytes)
+	for i := range shards {
+		sh := &shards[i]
+		if sh.wholeAccess {
+			continue
+		}
+		start := sk.Len()
+		sk.WriteString(sh.ba.key)
+		sk.WriteByte(0x1e)
+		fr.fpKeys = append(fr.fpKeys[:0], sh.keys...)
+		slices.Sort(fr.fpKeys)
+		for j, k := range fr.fpKeys {
+			if j > 0 {
+				sk.WriteByte(0x1f)
+			}
+			sk.WriteString(k)
+		}
+		// A string String returns is never written again, and the exact
+		// Grow keeps every sort key in the one buffer.
+		sh.sortKey = sk.String()[start:]
+	}
+
+	sortShards(shards)
+	p.shards, p.respCapped, p.root = shards, e.respCapped, root
 	p.uTuples, p.uDomain = uTuples, uDomain
 	p.built = true
 	return nil
+}
+
+// sortShards sorts shards by sort key. Sort keys are unique (an access key
+// and a response fingerprint identify one shard), so the order is total.
+// The sort runs over int32 indexes rather than the shard structs, and the
+// shards are then permuted into place along the permutation's cycles, each
+// moved once.
+func sortShards(shards []rootShard) {
+	order := make([]int32, len(shards))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return strings.Compare(shards[a].sortKey, shards[b].sortKey)
+	})
+	// Position j must receive the shard at order[j]; a visited position
+	// is marked -1.
+	for i := range order {
+		if order[i] < 0 {
+			continue
+		}
+		tmp := shards[i]
+		j := i
+		for {
+			from := int(order[j])
+			order[j] = -1
+			if from == i {
+				shards[j] = tmp
+				break
+			}
+			shards[j] = shards[from]
+			j = from
+		}
+	}
 }
 
 // universeCaches precomputes the per-relation universe contents (with

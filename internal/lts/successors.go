@@ -21,9 +21,10 @@ import (
 //
 // Unlike Explore's visitor, the returned transitions are owned by the
 // caller: each After is a fresh instance (Before aliases conf, which the
-// caller owns anyway). Responses are enumerated lazily via the same subset
-// masks as Explore, so no 2^n slice of slices is materialized along the
-// way.
+// caller owns anyway), and each Access's binding is a read-only slice of
+// its method's binding arena. Responses are enumerated lazily via the same
+// subset masks as Explore, so no 2^n slice of slices is materialized along
+// the way.
 func Successors(sch *schema.Schema, opts Options, conf *instance.Instance) ([]access.Transition, Report, error) {
 	o := opts.withDefaults()
 	if o.Universe == nil {
@@ -40,7 +41,6 @@ func Successors(sch *schema.Schema, opts Options, conf *instance.Instance) ([]ac
 	}
 	fr := &frame{}
 	var out []access.Transition
-	polled := 0
 	emit := func(acc access.Access, resp []instance.Tuple) error {
 		next := conf.Clone()
 		rel := acc.Method.Relation().Name()
@@ -61,16 +61,13 @@ func Successors(sch *schema.Schema, opts Options, conf *instance.Instance) ([]ac
 		for i := range bas {
 			// Poll every few bindings, not just on entry: the product can
 			// be huge and each binding fans out into 2^k responses.
-			polled++
-			if o.Context != nil && polled&0x3f == 0 {
-				if err := o.Context.Err(); err != nil {
-					return nil, Report{ResponsesCapped: e.respCapped}, err
-				}
+			if err := e.pollContext(); err != nil {
+				return nil, Report{ResponsesCapped: e.respCapped}, err
 			}
 			acc := bas[i].acc
 			// Same lazy enumerator as Explore: one source of truth for
 			// exactness, the response cap and the fan-out order.
-			it := e.responses(fr, acc, exact)
+			it := e.responses(fr, &bas[i], exact)
 			for {
 				resp, _, ok := it.next(fr)
 				if !ok {
