@@ -12,6 +12,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -482,5 +484,126 @@ func TestServerShardedBatchNDJSONStreaming(t *testing.T) {
 	}
 	if len(out.Results) != 3 {
 		t.Fatalf("buffered batch answered %d results, want 3", len(out.Results))
+	}
+}
+
+// forwardProbe wraps a worker and records, for each request it answers,
+// when the request arrived, when the answer was complete, and whether the
+// answer was a resumable partial.
+type forwardProbe struct {
+	inner  http.Handler
+	mu     sync.Mutex
+	rounds []probeRound
+}
+
+type probeRound struct {
+	arrived, finished time.Time
+	partial           bool
+}
+
+func (p *forwardProbe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	arrived := time.Now()
+	rec := httptest.NewRecorder()
+	p.inner.ServeHTTP(rec, r)
+	var out CheckResponse
+	_ = json.Unmarshal(rec.Body.Bytes(), &out)
+	p.mu.Lock()
+	p.rounds = append(p.rounds, probeRound{arrived: arrived, finished: time.Now(), partial: out.Resumable})
+	p.mu.Unlock()
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	_, _ = w.Write(rec.Body.Bytes())
+}
+
+// partialWithin reports whether a request that arrived after sent was
+// answered with a partial complete by the given time.
+func (p *forwardProbe) partialWithin(sent, by time.Time) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pr := range p.rounds {
+		if pr.partial && pr.arrived.After(sent) && !pr.finished.After(by) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCoordinatorShardedForwardAnytimePartial: on a one-worker fabric the
+// coordinator forwards each check whole, and under doubling budgets the
+// worker's resumable partials must reach the client, as they do from a
+// standalone server. The forwarded budget leaves the coordinator a merge
+// window of a fifth of its budget, so a worker that stops on time answers
+// before the coordinator's own deadline closes the connection. A round
+// whose worker partial was complete a millisecond before the client's
+// deadline must deliver it. The test skips when no round both ended in a
+// partial and left that much time: the host's stop latency then outran the
+// merge window at every budget where the check suspends.
+func TestCoordinatorShardedForwardAnytimePartial(t *testing.T) {
+	probe := &forwardProbe{inner: New(Config{})}
+	worker := httptest.NewServer(probe)
+	defer worker.Close()
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord)
+	defer ts.Close()
+	req := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula}
+	req.Options = &CheckOptions{MaxDepth: 4, Engine: "bounded"}
+
+	budget := 200 * time.Microsecond
+	delivered, onTime := 0, 0
+	settled := false
+	for round := 0; round < 40 && !settled; round++ {
+		req.Budget = budget.String()
+		sent := time.Now()
+		resp, body := postJSON(t, ts.URL+"/v1/check", req)
+		inTime := probe.partialWithin(sent, sent.Add(budget-time.Millisecond))
+		budget *= 2
+		if inTime {
+			onTime++
+		}
+		switch resp.StatusCode {
+		case http.StatusGatewayTimeout:
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Code != "budget_exhausted" {
+				t.Fatalf("round %d: 504 code %q, want budget_exhausted", round, e.Code)
+			}
+			if inTime {
+				t.Errorf("round %d: the worker's partial was ready a millisecond before the deadline, but the client got a 504", round)
+			}
+		case http.StatusOK:
+			var out CheckResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !out.Resumable {
+				if out.Satisfiable || out.Coverage != 1 {
+					t.Fatalf("round %d: settled answer not exact unsat: %+v", round, out)
+				}
+				settled = true
+				break
+			}
+			delivered++
+			if !out.Truncated || out.Satisfiable || out.Coverage <= 0 || out.Coverage >= 1 {
+				t.Fatalf("round %d: malformed partial: %+v", round, out)
+			}
+			if out.RetryAfter < 1 || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("round %d: partial without a retry hint", round)
+			}
+		default:
+			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, body)
+		}
+	}
+	if !settled {
+		t.Fatal("check never settled under doubling budgets")
+	}
+	if delivered == 0 && onTime == 0 {
+		t.Skip("no worker partial was ready a millisecond before its round's deadline")
 	}
 }

@@ -1,8 +1,7 @@
 package server
 
-// The coordinator role of the distributed check fabric: the same /v1/check
-// and /v1/batch surface as a standalone server, but instead of solving
-// locally it enumerates the check's canonical shard plan, groups the
+// The coordinator role of the distributed check fabric: instead of solving
+// a check locally it enumerates the check's canonical shard plan, groups the
 // slices by the consistent-hash owner of Fingerprint+shard-key (cache
 // affinity: the same slice of the same check always lands on the worker
 // whose shard-keyed LRU already holds it), dispatches one wire shard per
@@ -11,9 +10,9 @@ package server
 // the in-process search pins.
 //
 // Fallbacks keep the surface total: a check whose plan fails or has fewer
-// than two slices, or a fabric with one healthy worker, forwards the whole
-// check to a single worker's /v1/check (still routed by fingerprint so its
-// whole-check cache stays hot).
+// than two slices, or a fabric with fewer than two members, forwards the
+// whole check to a single worker's /v1/check (still routed by fingerprint
+// so its whole-check cache stays hot).
 //
 // The coordinator keeps two stores of its own, keyed by the shard-less
 // check fingerprint. The merged-result cache holds exact assembled
@@ -25,12 +24,16 @@ package server
 // redispatches only the canonical indexes no stored part covers, merging
 // old and new parts into a monotonically growing cover.
 //
-// Non-check tasks (/v1/containment, /v1/relevance, /v1/chase, and the
-// matching mixed-batch items) are never fanned out — shard planning is a
-// property of the check pipeline only. Each is forwarded whole to the
-// worker the ring selects for its task fingerprint, so repeat tasks land
-// where their cache entry lives; the worker's response is proxied back
-// unchanged.
+// The coordinator serves the same front end as a standalone server
+// (frontend.go); only its execute step differs. A check is planned,
+// dispatched and merged as above. Non-check tasks (/v1/containment,
+// /v1/relevance, /v1/chase, and the matching mixed-batch items) are never
+// fanned out — shard planning is a property of the check pipeline only —
+// so each is forwarded whole to the worker the ring selects for its task
+// fingerprint, where its cache entry lives. Checks and tasks share one
+// forwarder: it ships the remaining budget minus the merge window, walks
+// the ring order with one breaker and health bookkeeping path, and decodes
+// the worker's answer into the same typed response a worker renders.
 
 import (
 	"bytes"
@@ -83,11 +86,10 @@ type CoordinatorConfig struct {
 
 // Coordinator is the fan-out HTTP handler. Construct with NewCoordinator.
 type Coordinator struct {
-	cfg    Config
+	frontEnd
 	client *http.Client
 	reg    *fabric.Registry
 	disp   *fabric.Dispatcher
-	mux    *http.ServeMux
 	// taskChk derives task fingerprints for affinity routing; non-check
 	// fingerprints are canonical in the payload alone, so a default checker
 	// agrees with every worker.
@@ -141,7 +143,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	scfg := cfg.Server.withDefaults()
 	c := &Coordinator{
-		cfg:    scfg,
 		client: client,
 		reg:    reg,
 		// Exact-only admission: a witness settles the check exactly however
@@ -168,15 +169,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			Registry:   reg,
 			Failpoints: cfg.Failpoints,
 		},
-		mux:        http.NewServeMux(),
 		taskChk:    taskChk,
 		failpoints: cfg.Failpoints,
 	}
-	c.mux.HandleFunc("POST /v1/check", c.handleCheck)
-	c.mux.HandleFunc("POST /v1/containment", c.handleContainment)
-	c.mux.HandleFunc("POST /v1/relevance", c.handleRelevance)
-	c.mux.HandleFunc("POST /v1/chase", c.handleChase)
-	c.mux.HandleFunc("POST /v1/batch", c.handleBatch)
+	c.mount(scfg, c.execute)
 	c.mux.HandleFunc("POST /v1/join", c.handleJoin)
 	c.mux.HandleFunc("GET /v1/workers", c.handleWorkers)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -190,57 +186,32 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 // Registry exposes the worker registry (health probing, status snapshots).
 func (c *Coordinator) Registry() *fabric.Registry { return c.reg }
 
-// resolveBudget mirrors the server's precedence: item budget, query
-// parameter, configured default.
-func (c *Coordinator) resolveBudget(item string, r *http.Request) (time.Duration, error) {
-	for _, spec := range []string{item, r.URL.Query().Get("budget")} {
-		if spec == "" {
-			continue
-		}
-		d, err := time.ParseDuration(spec)
-		if err != nil {
-			return 0, badRequest("bad budget %q: %v", spec, err)
-		}
-		if d <= 0 {
-			return 0, badRequest("bad budget %q: must be positive", spec)
-		}
-		return d, nil
+// execute is the coordinator's execute step. A check is planned,
+// dispatched and merged, or forwarded whole when the fabric cannot split
+// it. Any other task is forwarded whole to the worker its fingerprint
+// ring-selects, and the worker's answer is decoded into the same typed
+// response a Server renders.
+func (c *Coordinator) execute(ctx context.Context, kind accesscheck.TaskKind, req any, t *accesscheck.Task) (BatchItem, error) {
+	var item BatchItem
+	var err error
+	if kind == accesscheck.TaskCheck {
+		item.Result, err = c.doCheck(ctx, *req.(*CheckRequest))
+	} else {
+		err = c.forwardTask(ctx, kind, req, t, item.slot(kind))
 	}
-	return c.cfg.DefaultBudget, nil
-}
-
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	return decodeStrict(w, r.Body, v)
-}
-
-func (c *Coordinator) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req CheckRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	budget, err := c.resolveBudget(req.Budget, r)
 	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
+		return BatchItem{}, c.ctxErr(ctx, err)
 	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	res, err := c.doCheck(ctx, req)
-	if err != nil {
-		writeError(w, c.ctxErr(ctx, err), budget)
-		return
-	}
-	tagResumable(w, res, budget)
-	writeJSON(w, http.StatusOK, res)
+	return item, nil
 }
 
 // ctxErr attributes a context-death error to its cause, mirroring the
 // worker-side Server.ctxErr: the coordinator's own budget expiry answers
 // code "budget_exhausted" — including the fabric-internal form, where a
 // worker 504ed the wire budget derived from this request's budget — and a
-// vanished client answers 499 "client_disconnected". Non-context errors
-// pass through untouched.
+// vanished client answers 499 "client_disconnected". It maps every execute
+// error, checks and forwarded tasks alike; non-context errors pass through
+// untouched.
 func (c *Coordinator) ctxErr(ctx context.Context, err error) error {
 	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		return err
@@ -256,103 +227,6 @@ func (c *Coordinator) ctxErr(ctx context.Context, err error) error {
 		return &httpError{status: statusClientClosedRequest, code: "client_disconnected",
 			err: fmt.Errorf("%w: client disconnected", context.Canceled)}
 	}
-}
-
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	n := checkBatchSize(w, &req, c.cfg.MaxBatch)
-	if n < 0 {
-		return
-	}
-	serveBatch(w, r, &req, n, c.resolveBudget, c.doCheck, c.doTaskItem)
-}
-
-// doTaskItem runs one mixed-batch item at the coordinator: check items go
-// through the usual plan/fan-out path, everything else is forwarded whole
-// to its ring-selected worker. Mirrors the worker-side Server.doTaskItem.
-func (c *Coordinator) doTaskItem(ctx context.Context, item *TaskRequest) BatchItem {
-	kind, err := accesscheck.ParseTaskKind(item.Task)
-	if err != nil {
-		return BatchItem{Task: item.Task, Error: err.Error()}
-	}
-	out := BatchItem{Task: kind.String()}
-	switch kind {
-	case accesscheck.TaskCheck:
-		if item.Check == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		res, err := c.doCheck(ctx, *item.Check)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Result = res
-	case accesscheck.TaskContainment:
-		if item.Containment == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseContainmentTask(item.Containment)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := c.forwardTask(ctx, taskPaths[kind], item.Containment, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Containment = new(ContainmentResponse)
-		err = json.Unmarshal(raw, out.Containment)
-		if err != nil {
-			out.Containment, out.Error = nil, fmt.Sprintf("bad containment response: %v", err)
-		}
-	case accesscheck.TaskRelevance:
-		if item.Relevance == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseRelevanceTask(item.Relevance)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := c.forwardTask(ctx, taskPaths[kind], item.Relevance, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Relevance = new(RelevanceResponse)
-		err = json.Unmarshal(raw, out.Relevance)
-		if err != nil {
-			out.Relevance, out.Error = nil, fmt.Sprintf("bad relevance response: %v", err)
-		}
-	case accesscheck.TaskChase:
-		if item.Chase == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseChaseTask(item.Chase)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := c.forwardTask(ctx, taskPaths[kind], item.Chase, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Chase = new(ChaseResponse)
-		err = json.Unmarshal(raw, out.Chase)
-		if err != nil {
-			out.Chase, out.Error = nil, fmt.Sprintf("bad chase response: %v", err)
-		}
-	}
-	return out
 }
 
 // coordCheckpoint is the coordinator's resume unit: the partial verdicts
@@ -460,10 +334,18 @@ func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResp
 	}
 	router := fabric.NewRouter(workers)
 
-	plan, _, planErr := chk.ShardPlan(ctx, sch, f)
-	if planErr != nil || len(plan) < 2 || len(workers) < 2 {
+	var plan []accesscheck.ShardID
+	var planErr error
+	if len(workers) >= 2 {
+		plan, _, planErr = chk.ShardPlan(ctx, sch, f)
+	}
+	if planErr != nil || len(plan) < 2 {
 		c.forwards.Add(1)
-		return c.forward(ctx, req, router, fp, len(workers))
+		var out CheckResponse
+		if err := c.forward(ctx, accesscheck.TaskCheck, router.Sequence(fp, len(workers)), &req, &out); err != nil {
+			return nil, err
+		}
+		return &out, nil
 	}
 	c.fanouts.Add(1)
 
@@ -502,24 +384,12 @@ func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResp
 		g.refs = append(g.refs, fabric.ShardRef{Index: sh.Index, Key: sh.Key, WholeAccess: sh.WholeAccess})
 	}
 
-	budget := time.Duration(0)
-	if dl, ok := ctx.Deadline(); ok {
-		budget = time.Until(dl)
-	}
-	if budget <= 0 {
-		err := context.DeadlineExceeded
+	// The per-shard budget on the wire leaves a merge window, so a worker
+	// whose slice ran out of time answers its suspended partial before this
+	// request's deadline closes the connection.
+	wb, err := wireBudget(ctx)
+	if err != nil {
 		return nil, err
-	}
-	// Reserve a merge window: the per-shard budget on the wire is shorter
-	// than the request's own remaining budget, so a worker whose slice ran
-	// out of time still answers its suspended partial BEFORE this request's
-	// deadline closes the connection. Shipping the full remainder instead
-	// would make both ends expire simultaneously and lose every partial to
-	// the dead connection — the request would 504 with zero collected
-	// coverage no matter how much the workers finished.
-	wireBudget := budget - budget/5
-	if wireBudget <= 0 {
-		wireBudget = budget
 	}
 
 	parts := make([]*fabric.ShardResult, len(order))
@@ -533,7 +403,7 @@ func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResp
 			Methods:   req.Methods,
 			Formula:   req.Formula,
 			Options:   fabricOptions(req.Options),
-			Budget:    wireBudget.String(),
+			Budget:    wb.String(),
 			PlanSize:  len(plan),
 			Shards:    g.refs,
 		}
@@ -651,41 +521,79 @@ func (c *Coordinator) availableWorkers() ([]string, error) {
 // nothing could accept a dispatch: code "no_healthy_workers" plus a
 // Retry-After derived from the soonest breaker cooldown.
 func noHealthyWorkersError(hint time.Duration) error {
-	secs := int((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
 	return &httpError{
 		status:     http.StatusServiceUnavailable,
 		code:       "no_healthy_workers",
-		retryAfter: secs,
+		retryAfter: retrySecs(hint),
 		err:        fmt.Errorf("no healthy workers: membership table empty or every breaker open"),
 	}
 }
 
-// forward ships the whole check to one worker's /v1/check, trying the
-// fingerprint's full preference sequence until a worker answers. Breaker-
-// open candidates are skipped without a request; feedback uses the same
-// classification as shard dispatch.
-func (c *Coordinator) forward(ctx context.Context, req CheckRequest, router *fabric.Router, fp string, n int) (*CheckResponse, error) {
-	seq := router.Sequence(fp, n)
-	if len(seq) == 0 {
-		return nil, &httpError{status: http.StatusBadGateway, err: fmt.Errorf("no workers available")}
+// wireBudget is the budget the coordinator ships with work it sends to a
+// worker: ctx's remaining budget minus a merge window of one fifth. The
+// worker's deadline then fires first, so a worker that runs out of time
+// still answers — its resumable partial, or its 504 — before this
+// request's own deadline closes the connection. Shipping the full
+// remainder would make both ends expire together and lose every partial
+// to the dead connection.
+func wireBudget(ctx context.Context) (time.Duration, error) {
+	dl, ok := ctx.Deadline()
+	if !ok || time.Until(dl) <= 0 {
+		return 0, context.DeadlineExceeded
 	}
+	budget := time.Until(dl)
+	return budget - budget/5, nil
+}
+
+// forwardTask forwards one non-check task whole — shard fan-out is a
+// check-pipeline property — along the ring order of its task fingerprint,
+// so repeat tasks land where their cache entry lives.
+func (c *Coordinator) forwardTask(ctx context.Context, kind accesscheck.TaskKind, req any, t *accesscheck.Task, out any) error {
+	fp, err := c.taskChk.FingerprintTask(t)
+	if err != nil {
+		return badRequest("%v", err)
+	}
+	c.taskForwards[kind].Add(1)
+	workers, err := c.availableWorkers()
+	if err != nil {
+		return err
+	}
+	return c.forward(ctx, kind, fabric.NewRouter(workers).Sequence(fp, len(workers)), req, out)
+}
+
+// forward ships one whole request of the given kind — a check the fabric
+// does not split, or a non-check task — to the first worker along seq that
+// answers, and decodes that answer into out. The forwarded body carries
+// wireBudget in place of the client's budget. Breaker-open candidates are
+// skipped without a request; feedback uses the same classification as
+// shard dispatch.
+func (c *Coordinator) forward(ctx context.Context, kind accesscheck.TaskKind, seq []string, req, out any) error {
+	if len(seq) == 0 {
+		return &httpError{status: http.StatusBadGateway, err: fmt.Errorf("no workers available")}
+	}
+	budget, err := wireBudget(ctx)
+	if err != nil {
+		return err
+	}
+	rt := &taskRoutes[kind]
+	*rt.budget(req) = budget.String()
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var lastErr error
 	for _, worker := range seq {
 		if !c.reg.Allow(worker) {
 			continue
 		}
-		res, err := c.forwardOnce(ctx, worker, body)
+		data, err := c.postWorker(ctx, worker, rt.path, body)
 		if err == nil {
-			c.reg.MarkUp(worker)
-			c.checks.Add(1)
-			return res, nil
+			if err = json.Unmarshal(data, out); err == nil {
+				c.reg.MarkUp(worker)
+				c.checks.Add(1)
+				return nil
+			}
+			err = fmt.Errorf("worker %s: bad %s response: %w", worker, kind, err)
 		}
 		lastErr = err
 		c.recordForward(worker, err, ctx)
@@ -701,10 +609,10 @@ func (c *Coordinator) forward(ctx context.Context, req CheckRequest, router *fab
 		// Every candidate was denied locally by its breaker.
 		c.noWorkers.Add(1)
 		_, hint := c.reg.Available()
-		return nil, noHealthyWorkersError(hint)
+		return noHealthyWorkersError(hint)
 	}
 	c.dispatchErrs.Add(1)
-	return nil, dispatchError(lastErr)
+	return dispatchError(lastErr)
 }
 
 // recordForward feeds one whole-request forward outcome to the registry,
@@ -720,18 +628,6 @@ func (c *Coordinator) recordForward(worker string, err error, ctx context.Contex
 	} else {
 		c.reg.MarkUp(worker)
 	}
-}
-
-func (c *Coordinator) forwardOnce(ctx context.Context, worker string, body []byte) (*CheckResponse, error) {
-	data, err := c.postWorker(ctx, worker, "/v1/check", body)
-	if err != nil {
-		return nil, err
-	}
-	var out CheckResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("worker %s: bad check response: %w", worker, err)
-	}
-	return &out, nil
 }
 
 // postWorker POSTs one JSON body to a worker route and returns the raw
@@ -759,127 +655,6 @@ func (c *Coordinator) postWorker(ctx context.Context, worker, path string, body 
 		return nil, &fabric.StatusError{Status: resp.StatusCode, Worker: worker, Body: msg}
 	}
 	return data, nil
-}
-
-// taskPaths maps a task kind to its worker route.
-var taskPaths = [numTaskKinds]string{
-	accesscheck.TaskCheck:       "/v1/check",
-	accesscheck.TaskContainment: "/v1/containment",
-	accesscheck.TaskRelevance:   "/v1/relevance",
-	accesscheck.TaskChase:       "/v1/chase",
-}
-
-// forwardTask ships one non-check task whole to the worker its fingerprint
-// ring-selects — shard fan-out is a check-pipeline property, so the other
-// kinds travel undivided and land where their cache entry lives. The
-// retry/health bookkeeping mirrors forward; the worker's 200 body is
-// returned raw for proxying.
-func (c *Coordinator) forwardTask(ctx context.Context, path string, req any, t *accesscheck.Task) (json.RawMessage, error) {
-	fp, err := c.taskChk.FingerprintTask(t)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	c.taskForwards[t.Kind].Add(1)
-	workers, err := c.availableWorkers()
-	if err != nil {
-		return nil, err
-	}
-	router := fabric.NewRouter(workers)
-	seq := router.Sequence(fp, len(workers))
-	if len(seq) == 0 {
-		return nil, &httpError{status: http.StatusBadGateway, err: fmt.Errorf("no workers available")}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var lastErr error
-	for _, worker := range seq {
-		if !c.reg.Allow(worker) {
-			continue
-		}
-		data, err := c.postWorker(ctx, worker, path, body)
-		if err == nil {
-			c.reg.MarkUp(worker)
-			c.checks.Add(1)
-			return data, nil
-		}
-		lastErr = err
-		c.recordForward(worker, err, ctx)
-		var se *fabric.StatusError
-		if errors.As(err, &se) && (se.Status < 500 || se.Status == http.StatusGatewayTimeout) {
-			break // terminal everywhere
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if lastErr == nil {
-		c.noWorkers.Add(1)
-		_, hint := c.reg.Available()
-		return nil, noHealthyWorkersError(hint)
-	}
-	c.dispatchErrs.Add(1)
-	return nil, dispatchError(lastErr)
-}
-
-// serveForwardTask is the single-task handler tail the three non-check
-// routes share: budget, deadline, forward, proxy.
-func (c *Coordinator) serveForwardTask(w http.ResponseWriter, r *http.Request, itemBudget, path string, req any, t *accesscheck.Task) {
-	budget, err := c.resolveBudget(itemBudget, r)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	raw, err := c.forwardTask(ctx, path, req, t)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
-}
-
-func (c *Coordinator) handleContainment(w http.ResponseWriter, r *http.Request) {
-	var req ContainmentRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseContainmentTask(&req)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	c.serveForwardTask(w, r, req.Budget, taskPaths[accesscheck.TaskContainment], &req, t)
-}
-
-func (c *Coordinator) handleRelevance(w http.ResponseWriter, r *http.Request) {
-	var req RelevanceRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseRelevanceTask(&req)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	c.serveForwardTask(w, r, req.Budget, taskPaths[accesscheck.TaskRelevance], &req, t)
-}
-
-func (c *Coordinator) handleChase(w http.ResponseWriter, r *http.Request) {
-	var req ChaseRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseChaseTask(&req)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	c.serveForwardTask(w, r, req.Budget, taskPaths[accesscheck.TaskChase], &req, t)
 }
 
 // dispatchError maps a fabric failure onto the coordinator's own response:
@@ -929,19 +704,7 @@ func fabricOptions(o *CheckOptions) *fabric.CheckOptions {
 // partial — the coordinator checkpoints its frontier, so the identical
 // request redispatches only the missing shards.
 func wireShardMerge(res fabric.ShardResult) *CheckResponse {
-	out := wireShardMergeBase(res)
-	switch {
-	case res.Satisfiable || (res.ShardsTotal > 0 && res.ShardsCompleted == res.ShardsTotal):
-		out.Coverage = 1
-	case res.ShardsTotal > 0:
-		out.Coverage = float64(res.ShardsCompleted) / float64(res.ShardsTotal)
-		out.Resumable = true
-	}
-	return out
-}
-
-func wireShardMergeBase(res fabric.ShardResult) *CheckResponse {
-	return &CheckResponse{
+	out := &CheckResponse{
 		Satisfiable:     res.Satisfiable,
 		Fragment:        res.Fragment,
 		InFragment:      res.InFragment,
@@ -957,6 +720,14 @@ func wireShardMergeBase(res fabric.ShardResult) *CheckResponse {
 		ShardsCompleted: res.ShardsCompleted,
 		ShardsTotal:     res.ShardsTotal,
 	}
+	switch {
+	case res.Satisfiable || (res.ShardsTotal > 0 && res.ShardsCompleted == res.ShardsTotal):
+		out.Coverage = 1
+	case res.ShardsTotal > 0:
+		out.Coverage = float64(res.ShardsCompleted) / float64(res.ShardsTotal)
+		out.Resumable = true
+	}
+	return out
 }
 
 // handleJoin is the membership endpoint: a worker announces (or renews)

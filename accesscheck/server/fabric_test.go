@@ -12,13 +12,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"accltl/accesscheck"
 	"accltl/accesscheck/fabric"
+	"accltl/internal/workload"
 )
 
 // goldenGrid is the option grid fanned-out checks are compared against
@@ -526,5 +529,209 @@ func TestCacheEvictionsExposed(t *testing.T) {
 	m := metrics(t, ts)
 	if m["accserve_cache_evictions_total"] == 0 {
 		t.Error("eviction not counted after overflowing a 1-entry cache")
+	}
+}
+
+// stripVolatile drops the fields two correct answers may legitimately
+// disagree on — whether a cache served them and how long they took — from a
+// decoded JSON value, at any depth.
+func stripVolatile(v any) any {
+	switch x := v.(type) {
+	case map[string]any:
+		delete(x, "cached")
+		delete(x, "elapsed_ms")
+		for k, e := range x {
+			x[k] = stripVolatile(e)
+		}
+	case []any:
+		for i, e := range x {
+			x[i] = stripVolatile(e)
+		}
+	}
+	return v
+}
+
+// sameAnswer decodes two response bodies and reports whether they are equal
+// once cache and timing fields are ignored.
+func sameAnswer(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	var va, vb any
+	if err := json.Unmarshal(a, &va); err != nil {
+		t.Fatalf("bad body %s: %v", a, err)
+	}
+	if err := json.Unmarshal(b, &vb); err != nil {
+		t.Fatalf("bad body %s: %v", b, err)
+	}
+	return reflect.DeepEqual(stripVolatile(va), stripVolatile(vb))
+}
+
+// TestCoordinatorTaskRoutesMatchStandalone: every task scenario answers the
+// same through a coordinator over two workers as through a standalone
+// server, as a single route and as a mixed /v1/batch item — including the
+// per-item errors of a missing payload and an unknown kind.
+func TestCoordinatorTaskRoutesMatchStandalone(t *testing.T) {
+	standalone := newTestServer(t, Config{})
+	coordURL, _, _ := newFabric(t, 2, CoordinatorConfig{})
+
+	type scenario struct {
+		name, route string
+		item        TaskRequest
+	}
+	var scenarios []scenario
+	for _, sc := range workload.ContainmentScenarios() {
+		req := containmentReq(sc)
+		scenarios = append(scenarios, scenario{"containment/" + sc.Name, "/v1/containment",
+			TaskRequest{Task: "containment", Containment: &req}})
+	}
+	for _, sc := range workload.RelevanceScenarios() {
+		req := relevanceReq(sc)
+		scenarios = append(scenarios, scenario{"relevance/" + sc.Name, "/v1/relevance",
+			TaskRequest{Task: "relevance", Relevance: &req}})
+	}
+	for _, c := range []struct {
+		name string
+		req  ChaseRequest
+	}{
+		{"implied", ChaseRequest{Arities: []string{"R:3"}, FDs: []string{"R:0->1", "R:1->2"}, Sigma: "R:0->2"}},
+		{"not-implied", ChaseRequest{Arities: []string{"R:3"}, FDs: []string{"R:0->1"}, Sigma: "R:0->2"}},
+		{"with-id", ChaseRequest{Arities: []string{"R:2", "S:2"}, FDs: []string{"S:0->1"}, IDs: []string{"R[0,1]<=S[0,1]"}, Sigma: "R:0->1"}},
+	} {
+		req := c.req
+		scenarios = append(scenarios, scenario{"chase/" + c.name, "/v1/chase",
+			TaskRequest{Task: "chase", Chase: &req}})
+	}
+	badContainment := ContainmentRequest{Mode: "ucq", Q1: "[[[", Q2: "[[["}
+	scenarios = append(scenarios, scenario{"containment/parse-failure", "/v1/containment",
+		TaskRequest{Task: "containment", Containment: &badContainment}})
+
+	for _, sc := range scenarios {
+		var payload any
+		switch {
+		case sc.item.Containment != nil:
+			payload = sc.item.Containment
+		case sc.item.Relevance != nil:
+			payload = sc.item.Relevance
+		default:
+			payload = sc.item.Chase
+		}
+		want, wantBody := postJSON(t, standalone.URL+sc.route, payload)
+		got, gotBody := postJSON(t, coordURL+sc.route, payload)
+		if wantOK := sc.item.Containment != &badContainment; (want.StatusCode == http.StatusOK) != wantOK {
+			t.Errorf("%s: standalone status %d: %s", sc.name, want.StatusCode, wantBody)
+		}
+		if got.StatusCode != want.StatusCode || !sameAnswer(t, gotBody, wantBody) {
+			t.Errorf("%s: coordinator answered %d %s, standalone %d %s",
+				sc.name, got.StatusCode, gotBody, want.StatusCode, wantBody)
+		}
+	}
+
+	batch := BatchRequest{}
+	for _, sc := range scenarios {
+		batch.Items = append(batch.Items, sc.item)
+	}
+	batch.Items = append(batch.Items, TaskRequest{Task: "chase"}, TaskRequest{Task: "conjuring"})
+	want, wantBody := postJSON(t, standalone.URL+"/v1/batch", batch)
+	got, gotBody := postJSON(t, coordURL+"/v1/batch", batch)
+	if want.StatusCode != http.StatusOK || got.StatusCode != http.StatusOK {
+		t.Fatalf("batch status: standalone %d, coordinator %d: %s", want.StatusCode, got.StatusCode, gotBody)
+	}
+	var wantOut, gotOut struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(wantBody, &wantOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(gotBody, &gotOut); err != nil {
+		t.Fatal(err)
+	}
+	if len(gotOut.Results) != len(batch.Items) || len(wantOut.Results) != len(batch.Items) {
+		t.Fatalf("batch results: coordinator %d, standalone %d, want %d",
+			len(gotOut.Results), len(wantOut.Results), len(batch.Items))
+	}
+	for i := range batch.Items {
+		if !sameAnswer(t, gotOut.Results[i], wantOut.Results[i]) {
+			t.Errorf("batch item %d (%s): coordinator %s, standalone %s",
+				i, batch.Items[i].Task, gotOut.Results[i], wantOut.Results[i])
+		}
+	}
+	// The two error items must really be errors, not vacuously equal.
+	for _, i := range []int{len(batch.Items) - 2, len(batch.Items) - 1} {
+		var item BatchItem
+		if err := json.Unmarshal(gotOut.Results[i], &item); err != nil {
+			t.Fatal(err)
+		}
+		if item.Error == "" {
+			t.Errorf("batch item %d: want a per-item error, got %s", i, gotOut.Results[i])
+		}
+	}
+}
+
+// TestCoordinatorForwardShipsWireBudget: a request the coordinator forwards
+// whole — a check on a one-worker fabric, or a non-check task — reaches the
+// worker carrying the remaining budget minus the merge window, whether the
+// client named its budget in the body or in ?budget=. Forwarding the client's
+// budget unchanged would let the coordinator's deadline fire first and turn
+// the worker's resumable partial into a 504.
+func TestCoordinatorForwardShipsWireBudget(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			Budget string `json:"budget"`
+		}
+		data, _ := io.ReadAll(r.Body)
+		_ = json.Unmarshal(data, &body)
+		mu.Lock()
+		got = append(got, body.Budget)
+		mu.Unlock()
+		switch r.URL.Path {
+		case "/v1/check":
+			writeJSON(w, http.StatusOK, CheckResponse{Engine: "bounded", Coverage: 1})
+		default:
+			writeJSON(w, http.StatusOK, ChaseResponse{Implied: true, Verdict: "implied", Engine: "chase"})
+		}
+	}))
+	defer worker.Close()
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord)
+	defer ts.Close()
+
+	const budget = 2 * time.Second
+	check := checkReq(satFormula)
+	chase := ChaseRequest{Arities: []string{"R:3"}, FDs: []string{"R:0->1"}, Sigma: "R:0->1"}
+	bodyCheck, bodyChase := check, chase
+	bodyCheck.Budget, bodyChase.Budget = budget.String(), budget.String()
+	for _, c := range []struct {
+		name, url string
+		body      any
+	}{
+		{"check/query", ts.URL + "/v1/check?budget=" + budget.String(), check},
+		{"check/body", ts.URL + "/v1/check", bodyCheck},
+		{"chase/query", ts.URL + "/v1/chase?budget=" + budget.String(), chase},
+		{"chase/body", ts.URL + "/v1/chase", bodyChase},
+	} {
+		mu.Lock()
+		got = nil
+		mu.Unlock()
+		resp, body := postJSON(t, c.url, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, body)
+		}
+		mu.Lock()
+		seen := got
+		mu.Unlock()
+		if len(seen) != 1 {
+			t.Fatalf("%s: worker saw %d requests, want 1", c.name, len(seen))
+		}
+		d, err := time.ParseDuration(seen[0])
+		if err != nil {
+			t.Fatalf("%s: forwarded budget %q: %v", c.name, seen[0], err)
+		}
+		if d <= 0 || d > budget-budget/5 {
+			t.Errorf("%s: forwarded budget %v, want in (0, %v]", c.name, d, budget-budget/5)
+		}
 	}
 }

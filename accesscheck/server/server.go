@@ -1,8 +1,14 @@
-// Package server is the HTTP frontend of the accesscheck facade: a batch
-// check service with bounded concurrency, per-request response-time budgets
-// and an exact-results-only LRU cache, in the spirit of bounded-response-
-// time query services (BlinkDB). It is the substrate later scaling work
-// (sharding, multi-backend dispatch) plugs into.
+// Package server is the HTTP service of the accesscheck facade: AccLTL
+// checks and the paper's static-analysis tasks behind per-request
+// response-time budgets, a bounded solver pool and an exact-results-only
+// cache, in the spirit of bounded-response-time query services (BlinkDB).
+//
+// One HTTP front end (frontend.go) serves both roles: strict decoding,
+// budget resolution, the per-request deadline, the single task routes,
+// /v1/batch and error rendering. The roles differ only in their execute
+// step. A Server (the worker, or a standalone accserve) solves each check
+// or task locally; a Coordinator (coordinator.go) plans, dispatches and
+// merges a check across workers, or forwards a task whole to one.
 //
 // Endpoints:
 //
@@ -14,6 +20,7 @@
 //	POST /v1/chase        FD+ID implication; ChaseRequest → ChaseResponse
 //	POST /v1/batch        many tasks; BatchRequest (check-only "requests" or
 //	                      mixed-task "items") → BatchResponse
+//	POST /v1/shard        worker only: one fabric shard → partial verdict
 //	GET  /healthz         liveness probe
 //	GET  /metrics         Prometheus-style text counters (hits, misses,
 //	                      truncations, per-task counters, in-flight, ...)
@@ -45,12 +52,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -147,10 +151,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP handler. Construct with New; the zero value is not
-// usable.
+// Server is the HTTP handler of the worker role (and of a standalone
+// accserve). Construct with New; the zero value is not usable.
 type Server struct {
-	cfg Config
+	frontEnd
 	// cache is the tiered result store: a fingerprint-sharded in-memory
 	// LRU (exact results only), optionally written behind to an append-only
 	// disk tier when Config.CacheDir is set. Only exact check results are
@@ -165,7 +169,6 @@ type Server struct {
 	// only, never served as answers — see accesscheck.CheckpointStore).
 	ckpts *accesscheck.CheckpointStore
 	sem   chan struct{}
-	mux   *http.ServeMux
 	// taskChk runs the non-check tasks. Their verdicts and fingerprints are
 	// canonical in the payload alone (checker options do not leak in), so
 	// one default-configured checker serves every such request.
@@ -193,9 +196,9 @@ type Server struct {
 	shardChecks     atomic.Uint64
 	shardMismatch   atomic.Uint64
 
-	// Per-task-kind counters, indexed by accesscheck.TaskKind: requests
-	// received, truncated results served, and cache probe outcomes.
-	taskRequests    [numTaskKinds]atomic.Uint64
+	// Per-task-kind counters, indexed by accesscheck.TaskKind: truncated
+	// results served and cache probe outcomes (requests received are
+	// counted by the front end).
 	taskTruncations [numTaskKinds]atomic.Uint64
 	taskCacheHits   [numTaskKinds]atomic.Uint64
 	taskCacheMisses [numTaskKinds]atomic.Uint64
@@ -239,23 +242,31 @@ func New(cfg Config) *Server {
 		back = dt
 	}
 	s := &Server{
-		cfg:     cfg,
 		cache:   cachetier.NewTiered(mem, back, encodeDiskCheck),
 		neg:     accesscheck.NewNegativeCaches(cfg.NegativeCacheBits),
 		ckpts:   accesscheck.NewCheckpointStore(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.Workers),
-		mux:     http.NewServeMux(),
 		taskChk: taskChk,
 	}
-	s.mux.HandleFunc("POST /v1/check", s.handleCheck)
-	s.mux.HandleFunc("POST /v1/containment", s.handleContainment)
-	s.mux.HandleFunc("POST /v1/relevance", s.handleRelevance)
-	s.mux.HandleFunc("POST /v1/chase", s.handleChase)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.mount(cfg, s.execute)
 	s.mux.HandleFunc("POST /v1/shard", s.handleShard)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// execute is the worker's execute step: solve locally, then render the
+// typed response.
+func (s *Server) execute(ctx context.Context, kind accesscheck.TaskKind, req any, t *accesscheck.Task) (BatchItem, error) {
+	if kind == accesscheck.TaskCheck {
+		res, err := s.doCheck(ctx, *req.(*CheckRequest))
+		return BatchItem{Result: res}, err
+	}
+	tr, cached, err := s.doTask(ctx, t)
+	if err != nil {
+		return BatchItem{}, err
+	}
+	return wireTask(tr, cached), nil
 }
 
 // ServeHTTP dispatches to the server's routes.
@@ -490,25 +501,6 @@ func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// resolveBudget picks the per-check deadline: item budget, then query
-// parameter, then server default.
-func (s *Server) resolveBudget(item string, r *http.Request) (time.Duration, error) {
-	for _, spec := range []string{item, r.URL.Query().Get("budget")} {
-		if spec == "" {
-			continue
-		}
-		d, err := time.ParseDuration(spec)
-		if err != nil {
-			return 0, badRequest("bad budget %q: %v", spec, err)
-		}
-		if d <= 0 {
-			return 0, badRequest("bad budget %q: must be positive", spec)
-		}
-		return d, nil
-	}
-	return s.cfg.DefaultBudget, nil
-}
-
 // parallelismFor resolves a check's effective walker count: the server's
 // configured per-check parallelism, lowered (never raised) by the request.
 func (s *Server) parallelismFor(o *CheckOptions) int {
@@ -555,7 +547,6 @@ func checkerFor(o *CheckOptions, parallelism int, extra ...accesscheck.Option) (
 // doCheck runs one check end to end: parse, cache probe, bounded solve,
 // cache admission. ctx must already carry the request's budget.
 func (s *Server) doCheck(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
-	s.taskRequests[accesscheck.TaskCheck].Add(1)
 	if req.Formula == "" {
 		return nil, badRequest("missing formula")
 	}
@@ -744,116 +735,6 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// decodeBody reads the JSON body under the size cap; oversized bodies are
-// rejected with 413 before they can exhaust memory, and unknown fields with
-// 400 — a typo'd option name must fail loudly instead of being silently
-// ignored (a misspelled "grounded" would otherwise run the wrong check).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	return decodeStrict(w, r.Body, v)
-}
-
-// decodeStrict decodes JSON with DisallowUnknownFields, rendering the
-// structured error responses every /v1/* body shares.
-func decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req CheckRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	budget, err := s.resolveBudget(req.Budget, r)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	res, err := s.doCheck(ctx, req)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	tagResumable(w, res, budget)
-	writeJSON(w, http.StatusOK, res)
-}
-
-// tagResumable stamps the retry horizon on a resumable 200: the identical
-// request, re-issued after roughly the same budget, resumes the stored
-// frontier. The header rides only on single-check responses; batch items
-// carry the field alone.
-func tagResumable(w http.ResponseWriter, res *CheckResponse, budget time.Duration) {
-	if !res.Resumable {
-		return
-	}
-	res.RetryAfter = retrySecs(budget)
-	if w != nil {
-		w.Header().Set("Retry-After", strconv.Itoa(res.RetryAfter))
-	}
-}
-
-// checkBatchSize validates the two batch forms share one size policy;
-// returns the item count or writes the error and returns -1.
-func checkBatchSize(w http.ResponseWriter, req *BatchRequest, maxBatch int) int {
-	if len(req.Requests) > 0 && len(req.Items) > 0 {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: `batch carries both "requests" and "items"; use one`})
-		return -1
-	}
-	n := len(req.Requests) + len(req.Items)
-	if n == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
-		return -1
-	}
-	if n > maxBatch {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("batch of %d exceeds the limit of %d", n, maxBatch)})
-		return -1
-	}
-	return n
-}
-
-// taskItemBudget names the budget field of a mixed-batch item's payload.
-func (t *TaskRequest) budget() string {
-	switch {
-	case t.Check != nil:
-		return t.Check.Budget
-	case t.Containment != nil:
-		return t.Containment.Budget
-	case t.Relevance != nil:
-		return t.Relevance.Budget
-	case t.Chase != nil:
-		return t.Chase.Budget
-	}
-	return ""
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	n := checkBatchSize(w, &req, s.cfg.MaxBatch)
-	if n < 0 {
-		return
-	}
-	serveBatch(w, r, &req, n, s.resolveBudget, s.doCheck, s.doTaskItem)
-}
-
 // BatchStreamItem is one NDJSON line of a streamed /v1/batch response: the
 // item's index in the request plus its outcome. Lines arrive in completion
 // order, not request order — the index is the correlation.
@@ -862,100 +743,10 @@ type BatchStreamItem struct {
 	BatchItem
 }
 
-// wantsNDJSON reports whether the client asked for a streamed batch.
-func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// serveBatch is the batch engine the standalone server and the coordinator
-// share: per-item budgets anchored at arrival, bounded by whoever runs the
-// items, and two response shapes. The default buffers everything into one
-// BatchResponse; with "Accept: application/x-ndjson" each item streams as
-// its own line the moment it completes, so slow items do not delay fast
-// ones reaching the client.
-func serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRequest, n int,
-	resolveBudget func(string, *http.Request) (time.Duration, error),
-	doCheck func(context.Context, CheckRequest) (*CheckResponse, error),
-	doTaskItem func(context.Context, *TaskRequest) BatchItem,
-) {
-	stream := wantsNDJSON(r)
-	results := make([]BatchItem, n)
-	var done chan int
-	if stream {
-		done = make(chan int, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if stream {
-				defer func() { done <- i }()
-			}
-			var itemBudget string
-			if req.Requests != nil {
-				itemBudget = req.Requests[i].Budget
-			} else {
-				itemBudget = req.Items[i].budget()
-			}
-			budget, err := resolveBudget(itemBudget, r)
-			if err != nil {
-				results[i] = BatchItem{Error: err.Error()}
-				return
-			}
-			// Deadlines are per item, all anchored at arrival: the worker
-			// pool bounds actual parallelism, and an item whose budget
-			// expires while queued fails fast instead of hogging a slot.
-			ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-			defer cancel()
-			if req.Requests != nil {
-				res, err := doCheck(ctx, req.Requests[i])
-				if err != nil {
-					results[i] = BatchItem{Error: err.Error()}
-					return
-				}
-				tagResumable(nil, res, budget)
-				results[i] = BatchItem{Result: res}
-				return
-			}
-			item := doTaskItem(ctx, &req.Items[i])
-			if item.Result != nil {
-				tagResumable(nil, item.Result, budget)
-			}
-			results[i] = item
-		}(i)
-	}
-	if !stream {
-		wg.Wait()
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
-		return
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Single writer: item goroutines publish completion via the channel
-	// (which orders their writes to results[i] before our read), and only
-	// this loop touches the ResponseWriter.
-	for i := range done {
-		_ = enc.Encode(BatchStreamItem{Index: i, BatchItem: results[i]})
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics renders the counters in Prometheus exposition style: plain
-// text, one "name value" per line, scrape-friendly without pulling in a
-// client library.
 // ratio renders h/(h+m) as a gauge value, 0 when nothing was probed.
 func ratio(h, m uint64) float64 {
 	if h+m == 0 {
@@ -964,6 +755,9 @@ func ratio(h, m uint64) float64 {
 	return float64(h) / float64(h+m)
 }
 
+// handleMetrics renders the counters in Prometheus exposition style: plain
+// text, one "name value" per line, scrape-friendly without pulling in a
+// client library.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.MemStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -992,7 +786,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "accserve_shard_plan_mismatches_total %d\n", s.shardMismatch.Load())
 	fmt.Fprintf(w, "accserve_failpoints_fired_total %d\n", s.cfg.Failpoints.Fired())
 	for _, k := range taskKinds {
-		fmt.Fprintf(w, "accserve_task_requests_total{task=%q} %d\n", k.String(), s.taskRequests[k].Load())
+		fmt.Fprintf(w, "accserve_task_requests_total{task=%q} %d\n", k.String(), s.requests[k].Load())
 		fmt.Fprintf(w, "accserve_task_truncations_total{task=%q} %d\n", k.String(), s.taskTruncations[k].Load())
 		fmt.Fprintf(w, "accserve_task_cache_hits_total{task=%q} %d\n", k.String(), s.taskCacheHits[k].Load())
 		fmt.Fprintf(w, "accserve_task_cache_misses_total{task=%q} %d\n", k.String(), s.taskCacheMisses[k].Load())

@@ -1,16 +1,16 @@
 package server
 
-// The non-check task routes: /v1/containment, /v1/relevance and /v1/chase
+// The non-check task kinds: /v1/containment, /v1/relevance and /v1/chase.
+// Their wire types and parsers fill the front end's route table, so they
 // ride the same spine as /v1/check — strict JSON decoding, budget
-// resolution (item budget, then ?budget=, then the server default), the
-// bounded worker pool, 504 + Retry-After on a blown budget, and the
-// exact-results-only LRU keyed by FingerprintTask. Mixed /v1/batch items
-// funnel through doTaskItem into the same path.
+// resolution (item budget, then ?budget=, then the server default), 504 +
+// Retry-After on a blown budget — and, on a Server, doTask adds the
+// bounded worker pool and the exact-results-only LRU keyed by
+// FingerprintTask.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -326,150 +326,15 @@ func (s *Server) doTask(ctx context.Context, t *accesscheck.Task) (*accesscheck.
 	return res, false, nil
 }
 
-// serveTask is the single-task handler tail every non-check route shares:
-// budget resolution, deadline, doTask, render.
-func (s *Server) serveTask(w http.ResponseWriter, r *http.Request, itemBudget string,
-	t *accesscheck.Task, render func(*accesscheck.TaskResult, bool) any) {
-	budget, err := s.resolveBudget(itemBudget, r)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	tr, cached, err := s.doTask(ctx, t)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	writeJSON(w, http.StatusOK, render(tr, cached))
-}
-
-func (s *Server) handleContainment(w http.ResponseWriter, r *http.Request) {
-	s.taskRequests[accesscheck.TaskContainment].Add(1)
-	var req ContainmentRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseContainmentTask(&req)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	s.serveTask(w, r, req.Budget, t, func(tr *accesscheck.TaskResult, cached bool) any {
-		return wireContainment(tr, cached)
-	})
-}
-
-func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
-	s.taskRequests[accesscheck.TaskRelevance].Add(1)
-	var req RelevanceRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseRelevanceTask(&req)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	s.serveTask(w, r, req.Budget, t, func(tr *accesscheck.TaskResult, cached bool) any {
-		return wireRelevance(tr, cached)
-	})
-}
-
-func (s *Server) handleChase(w http.ResponseWriter, r *http.Request) {
-	s.taskRequests[accesscheck.TaskChase].Add(1)
-	var req ChaseRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseChaseTask(&req)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	s.serveTask(w, r, req.Budget, t, func(tr *accesscheck.TaskResult, cached bool) any {
-		return wireChase(tr, cached)
-	})
-}
-
-// doTaskItem runs one mixed-batch item: kind dispatch, per-kind parsing,
-// and the shared task path; every failure stays inside this item.
-func (s *Server) doTaskItem(ctx context.Context, item *TaskRequest) BatchItem {
-	kind, err := accesscheck.ParseTaskKind(item.Task)
-	if err != nil {
-		return BatchItem{Task: item.Task, Error: err.Error()}
-	}
-	out := BatchItem{Task: kind.String()}
-	switch kind {
-	case accesscheck.TaskCheck:
-		if item.Check == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		res, err := s.doCheck(ctx, *item.Check)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Result = res
+// wireTask renders a non-check task result as its typed response.
+func wireTask(tr *accesscheck.TaskResult, cached bool) BatchItem {
+	switch tr.Kind {
 	case accesscheck.TaskContainment:
-		s.taskRequests[kind].Add(1)
-		if item.Containment == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseContainmentTask(item.Containment)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		tr, cached, err := s.doTask(ctx, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Containment = wireContainment(tr, cached)
+		return BatchItem{Containment: wireContainment(tr, cached)}
 	case accesscheck.TaskRelevance:
-		s.taskRequests[kind].Add(1)
-		if item.Relevance == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseRelevanceTask(item.Relevance)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		tr, cached, err := s.doTask(ctx, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Relevance = wireRelevance(tr, cached)
-	case accesscheck.TaskChase:
-		s.taskRequests[kind].Add(1)
-		if item.Chase == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseChaseTask(item.Chase)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		tr, cached, err := s.doTask(ctx, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Chase = wireChase(tr, cached)
+		return BatchItem{Relevance: wireRelevance(tr, cached)}
 	}
-	return out
-}
-
-func missingPayload(kind accesscheck.TaskKind) string {
-	return fmt.Sprintf("%s item without %q payload", kind, kind.String())
+	return BatchItem{Chase: wireChase(tr, cached)}
 }
 
 func wireContainment(tr *accesscheck.TaskResult, cached bool) *ContainmentResponse {

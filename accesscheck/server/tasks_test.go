@@ -305,3 +305,23 @@ func TestMixedBatchTasks(t *testing.T) {
 		t.Errorf("both-forms batch: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestBatchEmptyRequestsWithItems: an explicitly empty "requests" list next
+// to mixed "items" is the items form, not a check batch indexed past its
+// end (which panicked an item goroutine and took the process down).
+func TestBatchEmptyRequestsWithItems(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := `{"requests":[],"items":[{"task":"chase","chase":{"arities":["R:2"],"fds":["R:0->1"],"sigma":"R:0->1"}}]}`
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].Chase == nil || !out.Results[0].Chase.Implied {
+		t.Errorf("status %d, results %+v; want one implied chase", resp.StatusCode, out.Results)
+	}
+}

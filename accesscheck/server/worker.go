@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"accltl/accesscheck"
 	"accltl/accesscheck/fabric"
@@ -66,13 +65,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		writeBodyError(w, err)
 		return
 	}
 	sh, err := fabric.DecodeShard(data)
@@ -166,7 +159,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	// canonical partition the entry was keyed under.
 	if data, ok := s.cache.Persisted(fp); ok {
 		if cr := decodeDiskCheck(data); cr != nil {
-			return shardResultFromWire(sh, cr), nil
+			return shardFrame(sh, cr), nil
 		}
 	}
 
@@ -234,10 +227,15 @@ func completedPart(sh *fabric.Shard, res *accesscheck.Result, cp *accesscheck.Ch
 	return out
 }
 
-// shardResultFromWire rebuilds a fabric partial verdict from a disk-tier
-// wire response: the check fields come off the log, the shard frame from
-// the (plan-verified) request.
-func shardResultFromWire(sh *fabric.Shard, cr *CheckResponse) *fabric.ShardResult {
+// shardResult wires a facade Result into the fabric's partial-verdict form.
+func shardResult(sh *fabric.Shard, res *accesscheck.Result, cached bool) *fabric.ShardResult {
+	return shardFrame(sh, wireResult(res, cached))
+}
+
+// shardFrame is the one mapping from a check answer to a shard answer: the
+// check fields come from the wire response (a solved or cached result, or
+// a disk-tier entry), the shard frame from the plan-verified request.
+func shardFrame(sh *fabric.Shard, cr *CheckResponse) *fabric.ShardResult {
 	return &fabric.ShardResult{
 		Version:         fabric.WireVersion,
 		Shards:          sh.Indexes(),
@@ -251,34 +249,9 @@ func shardResultFromWire(sh *fabric.Shard, cr *CheckResponse) *fabric.ShardResul
 		ResponsesCapped: cr.ResponsesCapped,
 		PathsExplored:   cr.PathsExplored,
 		Witness:         cr.Witness,
-		Cached:          true,
+		Cached:          cr.Cached,
 		ElapsedMS:       cr.ElapsedMS,
-		ShardsCompleted: len(sh.Indexes()),
+		ShardsCompleted: len(sh.Shards),
 		ShardsTotal:     sh.PlanSize,
 	}
-}
-
-// shardResult wires a facade Result into the fabric's partial-verdict form.
-func shardResult(sh *fabric.Shard, res *accesscheck.Result, cached bool) *fabric.ShardResult {
-	out := &fabric.ShardResult{
-		Version:         fabric.WireVersion,
-		Shards:          sh.Indexes(),
-		Satisfiable:     res.Satisfiable,
-		Fragment:        res.Fragment.String(),
-		InFragment:      res.InFragment,
-		Decidable:       res.Decidable,
-		Engine:          res.Engine.String(),
-		Depth:           res.Depth,
-		Truncated:       res.Truncated,
-		ResponsesCapped: res.ResponsesCapped,
-		PathsExplored:   res.PathsExplored,
-		Cached:          cached,
-		ElapsedMS:       float64(res.Elapsed) / float64(time.Millisecond),
-		ShardsCompleted: len(sh.Indexes()),
-		ShardsTotal:     sh.PlanSize,
-	}
-	if res.Witness != nil {
-		out.Witness = res.Witness.String()
-	}
-	return out
 }
